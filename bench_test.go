@@ -59,11 +59,11 @@ func BenchmarkFullStudy(b *testing.B) {
 	}
 }
 
-// BenchmarkStudyParallel measures the full study on the parallel engine
+// BenchmarkStudyParallel measures the full study on the Table 2 engine
 // at several worker counts, each over a shared Env with a warm environment
 // pool — the steady state a study server or fleet reaches after its first
-// run. workers=1 is the serial engine; the work per iteration is identical
-// — and byte-identical — at every count. The warm-up run before the timer
+// run. The work per iteration is identical — and byte-identical — at
+// every count. The warm-up run before the timer
 // builds the pool's environments once, so the measured rows show what
 // pooling saves: allocs/op must not grow with the worker count.
 func BenchmarkStudyParallel(b *testing.B) {

@@ -84,16 +84,6 @@ func TestWorkersAppliesToEveryEngine(t *testing.T) {
 	}
 }
 
-func TestConflictingWorkersAliasRejected(t *testing.T) {
-	code, _, stderr := runCmd("-workers", "4", "-parallel", "2")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "deprecated alias") {
-		t.Fatalf("stderr = %q, want deprecated-alias message", stderr)
-	}
-}
-
 func TestListIncludesEveryArtifact(t *testing.T) {
 	code, stdout, _ := runCmd("-list")
 	if code != 0 {

@@ -290,9 +290,9 @@ func TestWheelHandlesLongIdleGaps(t *testing.T) {
 func TestHitMissCounters(t *testing.T) {
 	_, tb := newTable(Config{})
 	k := tcpKey(devAddr, cloudAddr, 40000, 443)
-	tb.Outbound(k, packet.TCPFlagSYN) // miss + insert
-	tb.Outbound(k, 0)                 // hit
-	tb.Inbound(k.Reverse(), 0)        // hit
+	tb.Outbound(k, packet.TCPFlagSYN)              // miss + insert
+	tb.Outbound(k, 0)                              // hit
+	tb.Inbound(k.Reverse(), 0)                     // hit
 	tb.Inbound(tcpKey(scanAddr, devAddr, 1, 2), 0) // miss
 	st := tb.Stats()
 	if st.Hits != 2 || st.Misses != 2 || st.Inserts != 1 {

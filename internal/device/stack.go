@@ -296,10 +296,10 @@ func (s *Stack) GlobalAddrs() []netip.Addr {
 func (s *Stack) PreferredSourceGUA() netip.Addr { return s.privacyGUA() }
 
 // SeedDHCP4Transactions sets the DHCPv4 transaction counter as if the
-// stack had already booted n times with IPv4 enabled. The parallel study
-// engine uses it to give each isolated per-experiment environment (and
-// the shared stacks the port scan reuses afterwards) the exact XID
-// sequence the serial engine produces.
+// stack had already booted n times with IPv4 enabled. The Table 2 engine
+// uses it to give experiment i the same XIDs in whichever environment
+// runs it (and the shared stacks the port scan reuses afterwards the
+// counter past all six experiments).
 func (s *Stack) SeedDHCP4Transactions(n int) { s.dhcp4XID = uint32(n) }
 
 // Boot kicks off network configuration for the current experiment.

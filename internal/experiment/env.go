@@ -44,7 +44,7 @@ func (sc *Scratch) network(clock *netsim.Clock) *netsim.Network {
 	return sc.Network(clock)
 }
 
-// EnvPool recycles isolated parallel-run environments — device stacks,
+// EnvPool recycles isolated Table 2 run environments — device stacks,
 // switch, clock, cloud clone — across studies. Building one environment
 // costs ~93 stacks plus a primed switch arena, so a warm pool turns the
 // per-worker setup of every subsequent study over the same World into a
@@ -98,25 +98,37 @@ func (p *EnvPool) Idle() int {
 	return len(p.envs)
 }
 
-// acquireEnv returns an isolated environment for one parallel worker:
-// a warm one from the study's pool when available, freshly built
-// otherwise. The environment is adopted into this study — budget,
-// telemetry wiring — but keeps its own stacks, clock, switch, and query
-// counters.
-func (st *Study) acquireEnv(base time.Time) *Study {
-	if st.pool != nil {
-		if env := st.pool.get(st.World); env != nil {
-			env.MaxFramesPerRun = st.MaxFramesPerRun
-			env.Capture = st.Capture
-			env.Observe = st.Observe
-			env.Telemetry = st.Telemetry
-			env.Progress = st.Progress
-			env.tm = st.tm
-			clear(env.Cloud.Queries)
-			return env
-		}
+// acquireEnv returns worker w's environment. Without a pool, worker 0 runs
+// on the study itself, so a one-worker study builds no second set of
+// stacks or switch; every other worker takes a warm environment from the
+// study's pool when one is parked there, or builds a fresh one over the
+// same World. Either way the environment is adopted into this study —
+// budget, capture policy, faults, telemetry wiring — but keeps its own
+// stacks, clock, switch, and query counters.
+func (st *Study) acquireEnv(w int, base time.Time) *Study {
+	if st.pool == nil && w == 0 {
+		return st
 	}
-	return st.isolatedEnv(base)
+	var env *Study
+	if st.pool != nil {
+		env = st.pool.get(st.World)
+	}
+	if env == nil {
+		env = NewStudyWith(StudyOptions{World: st.World, Start: base})
+	}
+	env.MaxFramesPerRun = st.MaxFramesPerRun
+	env.Capture = st.Capture
+	env.Observe = st.Observe
+	env.Faults = st.Faults
+	// The environments share the study's instruments and sink: counter
+	// folds are atomic additions (order-independent), and cloud-query
+	// folding stays with the study, which merges the environments'
+	// counters in config order before its single fold.
+	env.Telemetry = st.Telemetry
+	env.Progress = st.Progress
+	env.tm = st.tm
+	clear(env.Cloud.Queries)
+	return env
 }
 
 // releaseEnv parks a worker's environment for reuse by later studies (or

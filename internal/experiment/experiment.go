@@ -138,6 +138,10 @@ type RunResult struct {
 	// Functional maps device name to the outcome of its functionality
 	// test in this experiment.
 	Functional map[string]bool
+	// FailureStages maps each non-functional device's name to the earliest
+	// broken stage of its configuration→DNS→data funnel
+	// (device.Stack.FailureStage), diagnosed at the end of the run.
+	FailureStages map[string]string
 	// Neighbors is the router's IPv6 neighbor table at the end of the run
 	// (the port-scan address source, §4.3).
 	Neighbors map[netip.Addr]packet.MAC
@@ -217,8 +221,8 @@ type Study struct {
 	Observe ObserverFactory
 
 	// Workers bounds the worker pool the connectivity experiments (and the
-	// analysis extraction) run on. 0 or 1 means serial. See parallel.go for
-	// the byte-identity guarantee and the fault-path fallback.
+	// analysis extraction) run on; values below 1 mean one worker. See
+	// parallel.go for the byte-identity guarantee.
 	Workers int
 
 	// Faults, when non-nil, impairs every experiment: the link model is
@@ -244,7 +248,7 @@ type Study struct {
 	// and its frame arena); never nil after construction.
 	scratch *Scratch
 	// pool, when non-nil, recycles whole isolated environments across
-	// parallel runs and across studies over the same World.
+	// Table 2 runs and across studies over the same World.
 	pool *EnvPool
 }
 
@@ -263,7 +267,7 @@ type StudyOptions struct {
 	// private world from Devices/Start below — the compatibility path,
 	// byte-identical to the pre-World API.
 	World *world.World
-	// Pool, when non-nil, recycles isolated parallel-run environments
+	// Pool, when non-nil, recycles isolated Table 2 run environments
 	// (stacks, switch, clock, cloud clone) across studies. Environments
 	// are keyed by World identity, so a pool only pays off when studies
 	// share a World; mismatched environments are simply not reused.
@@ -297,8 +301,8 @@ type StudyOptions struct {
 	// see Study.Observe.
 	Observe ObserverFactory
 	// Workers bounds the pool the six connectivity experiments run on;
-	// 0 or 1 means the serial engine. Results are byte-identical either
-	// way (parallel.go).
+	// values below 1 mean one worker. Results are byte-identical for
+	// every value (parallel.go).
 	Workers int
 	// Telemetry, when non-nil, instruments every subsystem the study
 	// touches into the given registry. Studies sharing a registry (fleet
@@ -373,10 +377,9 @@ func NewStudyWith(opts StudyOptions) *Study {
 	return st
 }
 
-// RunAll executes the six connectivity experiments — on the parallel
-// engine when Workers > 1 and no faults are active, serially otherwise —
-// then the active DNS queries and the port scans. Both engines produce
-// byte-identical results.
+// RunAll executes the six connectivity experiments on a pool of Workers
+// environments, then the active DNS queries and the port scans. Results
+// are byte-identical for every worker count.
 func (st *Study) RunAll() error {
 	return st.RunAllContext(context.Background())
 }
@@ -395,32 +398,11 @@ func (st *Study) RunAllContext(ctx context.Context) error {
 	var err error
 	st.Scan, err = st.RunPortScan()
 	if err == nil && st.tm != nil {
-		// One fold of the study's accumulated cloud query totals, after
-		// both engines have converged on identical counts.
+		// One fold of the study's accumulated cloud query totals, once the
+		// merge has summed every run's counters in config order.
 		st.tm.foldCloud(st.Cloud)
 	}
 	return err
-}
-
-// runConnectivity dispatches the Table 2 grid to the serial loop or the
-// worker pool. Under active faults the DHCPv4 XID sequence depends on how
-// many retransmissions earlier experiments provoked, which only the serial
-// engine can know, so faulted studies always run serially.
-func (st *Study) runConnectivity(ctx context.Context) error {
-	if st.Workers > 1 && st.Faults == nil {
-		return st.runConnectivityParallel(ctx, st.Workers)
-	}
-	for _, cfg := range Configs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		res, err := st.RunExperiment(cfg)
-		if err != nil {
-			return fmt.Errorf("experiment %s: %w", cfg.ID, err)
-		}
-		st.Results = append(st.Results, res)
-	}
-	return nil
 }
 
 // RunExperiment performs one Table 2 run: reboot everything, configure,
@@ -507,12 +489,17 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 		Capture:         cap,
 		Observed:        obs,
 		Functional:      map[string]bool{},
+		FailureStages:   map[string]string{},
 		Neighbors:       rt.Neighbors,
 		Leases4:         map[packet.MAC]netip.Addr{},
 		FramesDelivered: net.Delivered(),
 	}
 	for _, s := range st.Stacks {
-		res.Functional[s.Prof.Name] = s.Functional()
+		ok := s.Functional()
+		res.Functional[s.Prof.Name] = ok
+		if !ok {
+			res.FailureStages[s.Prof.Name] = s.FailureStage()
+		}
 		if lease, ok := rt.LeaseFor(s.MAC); ok {
 			res.Leases4[s.MAC] = lease
 		}
@@ -524,9 +511,7 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 		res.ServiceDrops = rt.Faults.RAsDropped + rt.Faults.DHCPv6Dropped + rt.Faults.AAAADropped
 	}
 	// Fold before the inter-experiment hour so elapsed reflects only
-	// simulated time this run consumed — the same value under the serial
-	// engine (shared advancing clock) and the parallel one (private
-	// clock from a common base).
+	// simulated time this run consumed, whichever environment ran it.
 	elapsed := st.Clock.Now().Sub(began)
 	if st.tm != nil {
 		st.tm.foldRun(cfg, rt, st.Stacks, elapsed)

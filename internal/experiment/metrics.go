@@ -14,7 +14,7 @@ import (
 // studyMetrics binds a study to a telemetry registry: the netsim
 // hot-path instruments plus pre-resolved counters every deterministic
 // fold point adds into. Registration is idempotent, so any number of
-// studies (fleet homes, resilience profiles, parallel experiment
+// studies (fleet homes, resilience profiles, Table 2 worker
 // environments) built over the same registry accumulate into the same
 // counters — and because every fold is an atomic addition, the final
 // snapshot is independent of the order concurrent studies finish in.
@@ -101,8 +101,8 @@ func newStudyMetrics(r *telemetry.Registry) *studyMetrics {
 
 // foldRun folds one finished connectivity run's router and device
 // counters. The router is private to the run, so its totals are this
-// run's deltas; elapsed is simulated time consumed, identical under the
-// serial and parallel engines (both measure the run's own clock delta).
+// run's deltas; elapsed is simulated time consumed, the run's own clock
+// delta, identical whichever environment ran it.
 func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, stacks []*device.Stack, elapsed time.Duration) {
 	tm.fwdV4.Add(uint64(rt.ForwardedV4))
 	tm.fwdV6.Add(uint64(rt.ForwardedV6))
@@ -144,8 +144,8 @@ func (tm *studyMetrics) foldFirewall(pe *PolicyExposure) {
 
 // foldCloud folds the study's cloud query counters as a delta against
 // what this study last folded. The study's cloud totals at every fold
-// point are engine-independent (the parallel engine merges clone
-// counters in config order before any fold), so the deltas — and with
+// point are worker-count independent (the engine merges clone counters
+// in config order before any fold), so the deltas — and with
 // them the shared registry — stay byte-identical across worker counts.
 func (tm *studyMetrics) foldCloud(cl *cloud.Cloud) {
 	tm.mu.Lock()

@@ -9,44 +9,44 @@ import (
 
 	"v6lab/internal/device"
 	"v6lab/internal/dnsmsg"
-	"v6lab/internal/netsim"
 )
 
-// The parallel study engine.
+// The Table 2 engine.
 //
 // The six Table 2 experiments are fully independent: each one builds its
 // own switch and router, reboots every device stack, and the capture it
-// produces depends only on (profiles, plans, config) — never on absolute
-// time, because no stack or router service reads the clock into frame
-// content; the clock only timestamps capture records. That leaves exactly
-// two pieces of state threading the serial run together:
+// produces depends only on (profiles, plans, config, fault profile) —
+// never on absolute time, because no stack or router service reads the
+// clock into frame content; the clock only timestamps capture records
+// and paces the fault schedule relative to the run's own start. So every
+// study, at every worker count and under any fault profile, runs the
+// grid on a bounded pool of environments and merges the outcomes in
+// config order. Two pieces of state would otherwise thread the runs
+// together:
 //
-//   - the clock: experiment i starts where experiment i-1 left off, so
-//     pcap timestamps are cumulative. Each parallel environment runs on a
-//     private clock from a common base; afterwards the merge rebases
-//     experiment i's record times by the summed elapsed time of
-//     experiments 0..i-1. time.Time.Add is exact, so rebased timestamps
-//     equal the serial ones bit for bit.
+//   - the clock: pcap timestamps are cumulative, experiment i starting
+//     where experiment i-1 left off. Every run starts its environment's
+//     clock at a common base; the merge rebases experiment i's record
+//     times by the summed elapsed time of experiments 0..i-1 and leaves
+//     the study clock at base + the total. time.Time.Add is exact, so the
+//     timeline is the same whichever environment ran what.
 //   - the DHCPv4 transaction counter: Boot increments it once per
-//     v4-enabled experiment (and fault-driven retries increment it
-//     further). On a clean network the increment count before experiment
-//     i is just the number of prior v4-enabled configs, so each
-//     environment pre-seeds its stacks with that count. Under faults the
-//     count depends on the previous experiments' retransmissions, which
-//     is why faulted studies fall back to the serial engine
-//     (runConnectivity).
+//     v4-enabled experiment. beginRun seeds it absolutely with the number
+//     of prior v4-enabled configs, so experiment i's XIDs never depend on
+//     which environment runs it or what ran there before. Fault-driven
+//     retries advance it further within a run only.
 //
 // The cloud's domain registry is immutable while experiments run; its
 // only run-time mutation is the per-type query diagnostic counter, so
-// each environment gets a Clone sharing the registry with private
-// counters, merged back (in config order) after the pool drains.
+// each environment serves through a Clone sharing the registry with
+// private counters, merged back (in config order) after the pool drains.
 //
 // Merging in config order makes the Results slice — and therefore
-// FullReport and all six pcaps — byte-identical to the serial engine's.
+// FullReport and all six pcaps — byte-identical for every worker count.
 
-// runConnectivityParallel executes the Table 2 grid on a bounded worker
-// pool of isolated environments and merges the outcomes in config order.
-func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error {
+// runConnectivity executes the Table 2 grid on a pool of min(Workers, 6)
+// workers (at least one) and merges the outcomes in config order.
+func (st *Study) runConnectivity(ctx context.Context) error {
 	start := st.Clock.Now()
 	type outcome struct {
 		res     *RunResult
@@ -55,9 +55,7 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 		err     error
 	}
 	outcomes := make([]outcome, len(Configs))
-	if workers > len(Configs) {
-		workers = len(Configs)
-	}
+	workers := min(max(st.Workers, 1), len(Configs))
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -67,7 +65,7 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 			// One environment per worker, reused across its jobs (and —
 			// via the pool — across studies). beginRun's absolute clock
 			// and XID seeding is what makes the reuse byte-invisible.
-			env := st.acquireEnv(start)
+			env := st.acquireEnv(w, start)
 			defer st.releaseEnv(env)
 			for i := range jobs {
 				if err := ctx.Err(); err != nil {
@@ -102,7 +100,7 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 	var offset time.Duration
 	for i := range Configs {
 		out := outcomes[i]
-		// Rebase this capture from the common base onto the serial
+		// Rebase this capture from the common base onto the study
 		// timeline: everything experiments 0..i-1 consumed comes first.
 		// Streaming runs have nothing to rebase — analysis never reads
 		// record times, only pcap artifacts do, and those need a capture.
@@ -118,43 +116,11 @@ func (st *Study) runConnectivityParallel(ctx context.Context, workers int) error
 			st.Cloud.Queries[t] += n
 		}
 	}
-	// Leave the shared clock and stacks exactly where the serial engine
-	// would: the port scan draws its timestamps and next DHCPv4 XID from
-	// them.
-	st.Clock.Advance(offset)
+	// Leave the study clock and stacks past all six runs: the port scan
+	// draws its timestamps and next DHCPv4 XID from them.
+	st.Clock.Reset(start.Add(offset))
 	st.seedDHCP4(Configs)
 	return nil
-}
-
-// isolatedEnv builds a study sharing this one's immutable World
-// (profiles, plans, domain registry) but with private stacks, clock,
-// scratch, and query counters, so one experiment can run on it
-// concurrently with others.
-func (st *Study) isolatedEnv(base time.Time) *Study {
-	w := st.World
-	env := &Study{
-		World:           w,
-		Profiles:        w.Profiles,
-		Plans:           w.Plans,
-		Cloud:           st.Cloud.Clone(),
-		Clock:           netsim.NewClock(base),
-		MACToDevice:     w.MACToDevice,
-		MaxFramesPerRun: st.MaxFramesPerRun,
-		Capture:         st.Capture,
-		Observe:         st.Observe,
-		scratch:         NewScratch(),
-		// The environments share the parent's instruments and sink:
-		// counter folds are atomic additions (order-independent), and
-		// cloud-query folding stays with the parent, which merges the
-		// environments' counters in config order before its single fold.
-		Telemetry: st.Telemetry,
-		Progress:  st.Progress,
-		tm:        st.tm,
-	}
-	for i, p := range w.Profiles {
-		env.Stacks = append(env.Stacks, device.NewStack(p, w.Plans[i], i, w.Prefixes))
-	}
-	return env
 }
 
 // seedDHCP4 advances every stack's DHCPv4 transaction counter past the

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"v6lab/internal/faults"
 	"v6lab/internal/telemetry"
@@ -62,23 +61,18 @@ func (r *ResilienceReport) Config(profile, id string) *ResilienceConfig {
 
 // RunResilience re-runs the Table 2 connectivity grid under each fault
 // profile (faults.Grid() when profiles is empty) and reports per-profile
-// functionality and failure modes. Each profile gets a fresh, isolated
-// study built from opts, so impairment in one profile cannot leak state
-// into another; the whole experiment is deterministic in (opts, profiles).
-//
-// When opts.Workers > 1, profiles run concurrently on a bounded pool —
-// each profile's study is already fully isolated, so the grid is
-// embarrassingly parallel at the profile level — and the report lists
-// them in the order given, identical to the serial run. (Within a
-// profile the experiments stay serial: faults make the DHCPv4 XID chain
-// order-dependent; see runConnectivity.)
+// functionality and failure modes. Each profile gets a fresh study built
+// from opts, so impairment in one profile cannot leak state into another;
+// the whole experiment is deterministic in (opts, profiles). Profiles run
+// in the order given, each grid on the Table 2 engine with opts.Workers
+// workers, all of them over one World and one environment pool.
 func RunResilience(opts StudyOptions, profiles ...faults.Profile) (*ResilienceReport, error) {
 	return RunResilienceContext(context.Background(), opts, profiles...)
 }
 
 // RunResilienceContext is RunResilience with cancellation: ctx is checked
-// before each profile's grid, and a cancelled run returns ctx.Err() with
-// no report.
+// before each profile's grid and between its experiments, and a cancelled
+// run returns ctx.Err() with no report.
 func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...faults.Profile) (*ResilienceReport, error) {
 	if len(profiles) == 0 {
 		profiles = faults.Grid()
@@ -91,88 +85,46 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 		opts.Capture = CaptureNone
 	}
 	// One immutable world for the whole grid: every profile's study shares
-	// the population, plans, and primed cloud registry, rebuilding only
-	// its own stacks.
+	// the population, plans, and primed cloud registry, and the pool hands
+	// each profile the environments the previous one warmed.
 	if opts.World == nil {
 		opts.World = world.Build(opts.Devices)
 	}
-	rep := &ResilienceReport{Profiles: make([]*ResilienceProfile, len(profiles))}
-	workers := opts.Workers
-	if workers > len(profiles) {
-		workers = len(profiles)
+	if opts.Pool == nil {
+		opts.Pool = NewEnvPool()
 	}
-	if workers <= 1 {
-		if opts.Scratch == nil {
-			opts.Scratch = NewScratch()
+	rep := &ResilienceReport{Devices: len(opts.World.Profiles)}
+	for _, p := range profiles {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		for i, p := range profiles {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			po, devices, err := runResilienceProfile(opts, p)
-			if err != nil {
-				return nil, err
-			}
-			rep.Profiles[i] = po
-			rep.Devices = devices
-		}
-		return rep, nil
-	}
-	errs := make([]error, len(profiles))
-	devices := make([]int, len(profiles))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Scratch is single-threaded: each worker gets its own,
-			// whatever the caller passed in opts.
-			wopts := opts
-			wopts.Scratch = NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				rep.Profiles[i], devices[i], errs[i] = runResilienceProfile(wopts, profiles[i])
-			}
-		}()
-	}
-	for i := range profiles {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
+		po, err := runResilienceProfile(ctx, opts, p)
 		if err != nil {
 			return nil, err
 		}
-		rep.Devices = devices[i]
+		rep.Profiles = append(rep.Profiles, po)
 	}
 	return rep, nil
 }
 
 // runResilienceProfile runs the full Table 2 grid under one fault profile
-// on a study of its own.
-func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfile, int, error) {
-	o := opts
+// on a study of its own and folds each run's diagnosis into the grid.
+func runResilienceProfile(ctx context.Context, opts StudyOptions, p faults.Profile) (*ResilienceProfile, error) {
 	fp := p
-	o.Faults = &fp
-	st := NewStudyWith(o)
+	opts.Faults = &fp
+	st := NewStudyWith(opts)
 	began := st.Clock.Now()
-	po := &ResilienceProfile{Profile: p}
-	for _, cfg := range Configs {
-		res, err := st.RunExperiment(cfg)
-		if err != nil {
-			return nil, 0, fmt.Errorf("resilience %s/%s: %w", p.Name, cfg.ID, err)
+	if err := st.runConnectivity(ctx); err != nil {
+		if ctx.Err() != nil {
+			return nil, err
 		}
+		return nil, fmt.Errorf("resilience %s: %w", p.Name, err)
+	}
+	po := &ResilienceProfile{Profile: p}
+	for _, res := range st.Results {
 		rc := ResilienceConfig{
-			ID:              cfg.ID,
-			Devices:         len(st.Stacks),
+			ID:              res.Config.ID,
+			Devices:         len(st.Profiles),
 			Failures:        map[string]int{},
 			FramesDelivered: res.FramesDelivered,
 			FramesDropped:   res.FramesDropped,
@@ -180,14 +132,13 @@ func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfi
 			PTBSent:         res.PTBSent,
 			ServiceDrops:    res.ServiceDrops,
 		}
-		// Diagnose while the stacks still hold this experiment's state.
-		for _, s := range st.Stacks {
-			stage := s.FailureStage()
-			rc.Failures[stage]++
-			if stage == "ok" {
-				rc.Functional++
+		for _, prof := range st.Profiles {
+			if stage, failed := res.FailureStages[prof.Name]; failed {
+				rc.Failures[stage]++
+				rc.FailedDevices = append(rc.FailedDevices, prof.Name)
 			} else {
-				rc.FailedDevices = append(rc.FailedDevices, s.Prof.Name)
+				rc.Failures["ok"]++
+				rc.Functional++
 			}
 		}
 		po.ByConfig = append(po.ByConfig, rc)
@@ -197,8 +148,8 @@ func runResilienceProfile(opts StudyOptions, p faults.Profile) (*ResilienceProfi
 	telemetry.Emit(st.Progress, telemetry.Event{
 		Scope:   "resilience",
 		ID:      p.Name,
-		Detail:  fmt.Sprintf("%d/%d device-runs functional", po.FunctionalTotal, len(st.Stacks)*len(Configs)),
+		Detail:  fmt.Sprintf("%d/%d device-runs functional", po.FunctionalTotal, len(st.Profiles)*len(Configs)),
 		Elapsed: st.Clock.Now().Sub(began),
 	})
-	return po, len(st.Stacks), nil
+	return po, nil
 }

@@ -163,11 +163,9 @@ func WithFaultProfile(p faults.Profile) Option {
 // resilience grid's profiles, and — unless their configs say otherwise —
 // the fleet and adversary parts. Output is byte-identical for every n:
 // results merge in config (or home-index) order and pcap timestamps are
-// rebased onto the serial timeline (see the experiment package). 0 or 1
-// means serial for the study engines and GOMAXPROCS for fleet/adversary
-// pools; n > 1 with an active fault profile falls back to serial for the
-// connectivity study (the fault path is order-dependent) while the
-// resilience grid still parallelizes across profiles.
+// rebased onto one cumulative timeline (see the experiment package), with
+// or without a fault profile. 0 means one worker for the study engines
+// and GOMAXPROCS for fleet/adversary pools.
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }

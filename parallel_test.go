@@ -1,20 +1,24 @@
 package v6lab
 
-// Byte-identity of the parallel study engine: a lab run on any worker
-// count must produce exactly the FullReport and pcaps the serial engine
-// produces — which are in turn pinned to recorded hashes, so a regression
-// in either engine (or in the frame path underneath both) fails here.
+// Byte-identity of the Table 2 engine: a lab run on any worker count must
+// produce exactly the same FullReport and pcaps — pinned, for the clean
+// study, to recorded hashes, so a regression in the engine (or in the
+// frame path underneath it) fails here. Faulted labs run on the same
+// engine and must be just as worker-count invariant.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"v6lab/internal/faults"
+	"v6lab/internal/telemetry"
 )
 
-// studyHashes are the sha256 sums of the serial single-home study's
-// outputs, recorded before the parallel engine and the zero-copy frame
+// studyHashes are the sha256 sums of the single-home study's outputs, recorded before the parallel engine and the zero-copy frame
 // path landed. Any engine change that alters a byte shows up as a diff
 // against these.
 var studyHashes = map[string]string{
@@ -49,18 +53,18 @@ func labHashes(t *testing.T, lab *Lab) map[string]string {
 }
 
 // TestParallelStudyByteIdentity runs the study on six workers and checks
-// every output hash against the recorded serial baselines (the serial
-// engine itself is pinned to the same baselines by the shared lab).
+// every output hash against the recorded baselines (the default
+// one-worker study is pinned to the same baselines by the shared lab).
 func TestParallelStudyByteIdentity(t *testing.T) {
 	par := New(WithWorkers(6))
 	if err := par.Run(); err != nil {
 		t.Fatal(err)
 	}
 	got := labHashes(t, par)
-	serial := labHashes(t, sharedLab(t))
+	one := labHashes(t, sharedLab(t))
 	for key, want := range studyHashes {
-		if serial[key] != want {
-			t.Errorf("serial %s = %s, recorded baseline %s", key, serial[key], want)
+		if one[key] != want {
+			t.Errorf("one-worker %s = %s, recorded baseline %s", key, one[key], want)
 		}
 		if got[key] != want {
 			t.Errorf("parallel %s = %s, recorded baseline %s", key, got[key], want)
@@ -71,20 +75,61 @@ func TestParallelStudyByteIdentity(t *testing.T) {
 	}
 }
 
-// TestResilienceWorkersEquivalence checks the profile-parallel resilience
-// grid against the serial one on a small population.
+// TestResilienceWorkersEquivalence checks the resilience grid at four
+// workers against the default one-worker grid on a small population.
 func TestResilienceWorkersEquivalence(t *testing.T) {
 	names := []string{"Behmor Brewer", "Smarter IKettle", "Samsung Fridge"}
-	serial := New(WithDevices(names...))
-	if err := serial.Run(Resilience()); err != nil {
+	one := New(WithDevices(names...))
+	if err := one.Run(Resilience()); err != nil {
 		t.Fatal(err)
 	}
 	par := New(WithDevices(names...), WithWorkers(4))
 	if err := par.Run(Resilience()); err != nil {
 		t.Fatal(err)
 	}
-	a, b := serial.Report(ResilienceStudy), par.Report(ResilienceStudy)
+	a, b := one.Report(ResilienceStudy), par.Report(ResilienceStudy)
 	if a != b {
-		t.Fatalf("resilience reports differ between serial and 4-worker runs:\n--- serial ---\n%s\n--- parallel ---\n%s", a, b)
+		t.Fatalf("resilience reports differ between 1- and 4-worker runs:\n--- 1 worker ---\n%s\n--- 4 workers ---\n%s", a, b)
+	}
+}
+
+// TestFaultedStudyWorkerInvariance: a faulted study runs on the same
+// engine as a clean one, so a lossy-wifi lab is byte-equal at one and six
+// workers in its FullReport, all six pcaps, and the telemetry snapshot.
+func TestFaultedStudyWorkerInvariance(t *testing.T) {
+	run := func(workers int) (map[string]string, []byte) {
+		lab := New(WithFaultProfile(faults.LossyWiFi()), WithWorkers(workers), WithTelemetry(telemetry.NewRegistry()))
+		if err := lab.Run(); err != nil {
+			t.Fatal(err)
+		}
+		dropped := 0
+		for _, res := range lab.Study.Results {
+			dropped += res.FramesDropped
+		}
+		if dropped == 0 {
+			t.Fatalf("workers=%d: lossy-wifi dropped no frames", workers)
+		}
+		snap, ok := lab.TelemetrySnapshot()
+		if !ok {
+			t.Fatal("instrumented lab lost its registry")
+		}
+		j, err := snap.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return labHashes(t, lab), j
+	}
+	one, oneJSON := run(1)
+	six, sixJSON := run(6)
+	if len(one) != len(studyHashes) {
+		t.Errorf("faulted study produced %d outputs, want %d", len(one), len(studyHashes))
+	}
+	for key, want := range one {
+		if six[key] != want {
+			t.Errorf("%s: sha256 %s at 6 workers, %s at 1", key, six[key], want)
+		}
+	}
+	if !bytes.Equal(oneJSON, sixJSON) {
+		t.Errorf("telemetry snapshots differ between 1 and 6 workers:\n--- 1 worker ---\n%s\n--- 6 workers ---\n%s", oneJSON, sixJSON)
 	}
 }

@@ -15,9 +15,7 @@ import (
 // population with its own capture policy and seed. Every part resolves
 // its settings the same way — an explicit PartOption wins over a config
 // struct passed via FleetConfig/AdversaryConfig/TimelineConfig, which
-// wins over the lab's WithWorkers/WithCapture/WithSeed defaults. This
-// replaces the ad-hoc plumbing where Fleet, FleetWith, AdversaryWith, and
-// Resilience each inherited a different subset of the lab's options.
+// wins over the lab's WithWorkers/WithCapture/WithSeed defaults.
 type PartOption func(*partConfig)
 
 // partConfig accumulates the shared per-part settings.
@@ -289,23 +287,4 @@ func Timeline(h Horizon, opts ...PartOption) RunPart {
 		l.TL = rep
 		return nil
 	}
-}
-
-// FleetWith is the pre-PartOption form of a fully-configured fleet.
-//
-// Deprecated: use Fleet(0, FleetConfig(cfg)) — or Fleet(n, opts...) with
-// individual options.
-func FleetWith(cfg fleet.Config) RunPart { return Fleet(0, FleetConfig(cfg)) }
-
-// AdversaryWith is the pre-PartOption form of a fully-configured attack.
-//
-// Deprecated: use Adversary(0, AdversaryConfig(cfg)).
-func AdversaryWith(cfg adversary.Config) RunPart { return Adversary(0, AdversaryConfig(cfg)) }
-
-// ResilienceWith is the pre-PartOption form of Resilience, taking
-// profiles positionally.
-//
-// Deprecated: use Resilience(Impairments(profiles...)).
-func ResilienceWith(profiles ...faults.Profile) RunPart {
-	return Resilience(Impairments(profiles...))
 }

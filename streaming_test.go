@@ -4,7 +4,7 @@ package v6lab
 // a capture — every frame parsed exactly once at switch-delivery time by
 // the streaming Observer, with DNS/SNI attribution deferred to Finalize —
 // must render exactly the FullReport the buffered two-source path does,
-// on the serial engine and on the worker pool alike. Together with
+// at one worker and at eight alike. Together with
 // TestParallelStudyByteIdentity (which pins the buffered report to its
 // recorded hash) this transitively pins the streaming report to the same
 // recorded bytes.
