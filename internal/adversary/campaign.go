@@ -6,13 +6,14 @@ import (
 	"net/netip"
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
 	"v6lab/internal/firewall"
 	"v6lab/internal/fleet"
+	"v6lab/internal/netsim"
+	"v6lab/internal/pool"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
 )
@@ -121,9 +122,9 @@ type CampaignReport struct {
 // the addresses discovery scored against are the addresses that answer.
 // The fleet retains each home's immutable world (RetainWorlds), so the
 // rebuild reuses its plans and primed cloud registry outright — only the
-// per-run state (stacks, switch, router) is reconstructed, on the calling
-// worker's recycled scratch.
-func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []uint16, scratch *experiment.Scratch) (*HomeCampaign, error) {
+// per-run state (stacks, router) is reconstructed, and the switch is the
+// calling worker's recycled one.
+func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []uint16, net *netsim.Network) (*HomeCampaign, error) {
 	spec := hr.Spec
 	hc := &HomeCampaign{Index: spec.Index, Policy: spec.Policy}
 	ec, ok := experiment.ConfigByID(spec.ConfigID)
@@ -153,7 +154,7 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 		// analysis tap.
 		Capture:   experiment.CaptureNone,
 		Telemetry: cfg.Telemetry,
-		Scratch:   scratch,
+		Network:   net,
 	})
 	began := st.Clock.Now()
 
@@ -252,47 +253,27 @@ func runCampaign(ctx context.Context, cfg Config, pop *fleet.Population, ds []*H
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(pop.Homes) {
-		workers = len(pop.Homes)
-	}
 	results := make([]*HomeCampaign, len(pop.Homes))
-	errs := make([]error, len(pop.Homes))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := experiment.NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = campaignHome(cfg, pop.Homes[i], ds[i], ports, scratch)
-				if hc := results[i]; hc != nil && !hc.Skipped {
-					telemetry.Emit(cfg.Progress, telemetry.Event{
-						Scope:   "adversary",
-						ID:      fmt.Sprintf("campaign %d/%d", i+1, len(pop.Homes)),
-						Detail:  fmt.Sprintf("%s, %d targets, %d devices reachable", hc.Policy, hc.TargetsProbed, len(hc.Reachable)),
-						Elapsed: hc.Elapsed,
-					})
-				}
-			}
-		}()
-	}
-	for i := range pop.Homes {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
+	err := pool.Run(ctx, len(pop.Homes), workers, func(int) *netsim.Network {
+		return netsim.NewNetwork(nil)
+	}, func(net *netsim.Network, i int) error {
+		hc, err := campaignHome(cfg, pop.Homes[i], ds[i], ports, net)
 		if err != nil {
-			return nil, fmt.Errorf("adversary: campaign home %d: %w", i, err)
+			return fmt.Errorf("adversary: campaign home %d: %w", i, err)
 		}
+		results[i] = hc
+		if !hc.Skipped {
+			telemetry.Emit(cfg.Progress, telemetry.Event{
+				Scope:   "adversary",
+				ID:      fmt.Sprintf("campaign %d/%d", i+1, len(pop.Homes)),
+				Detail:  fmt.Sprintf("%s, %d targets, %d devices reachable", hc.Policy, hc.TargetsProbed, len(hc.Reachable)),
+				Elapsed: hc.Elapsed,
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	rep := &CampaignReport{Ports: ports, Homes: results}

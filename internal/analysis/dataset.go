@@ -1,9 +1,10 @@
 package analysis
 
 import (
-	"sync"
+	"context"
 
 	"v6lab/internal/experiment"
+	"v6lab/internal/pool"
 )
 
 // Streaming returns the observer factory experiment studies plug into
@@ -31,9 +32,9 @@ func observationsFor(st *experiment.Study, res *experiment.RunResult) *ExpObs {
 // FromStudy runs the extraction over every experiment a Study produced and
 // assembles the Dataset the table derivations consume. Each frame is
 // parsed exactly once — at delivery for streaming (CaptureNone) runs, or
-// here over the buffered capture; when the study's Workers allow it, the
-// per-capture extractions run concurrently (they are independent) and land
-// in the dataset in experiment order, so the result never depends on
+// here over the buffered capture. The per-capture extractions are
+// independent, so they run on a pool of the study's Workers and land in
+// the dataset in experiment order; the result never depends on
 // scheduling.
 func FromStudy(st *experiment.Study) *Dataset {
 	ds := &Dataset{
@@ -42,32 +43,12 @@ func FromStudy(st *experiment.Study) *Dataset {
 		Cloud:      st.Cloud,
 	}
 	ds.Exps = make([]*ExpObs, len(st.Results))
-	workers := st.Workers
-	if workers > len(st.Results) {
-		workers = len(st.Results)
-	}
-	if workers <= 1 {
-		for i, res := range st.Results {
-			ds.Exps[i] = observationsFor(st, res)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					ds.Exps[i] = observationsFor(st, st.Results[i])
-				}
-			}()
-		}
-		for i := range st.Results {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
+	// The jobs never fail and the context is never cancelled, so Run
+	// cannot return an error.
+	_ = pool.Run(context.Background(), len(st.Results), st.Workers, nil, func(_ struct{}, i int) error {
+		ds.Exps[i] = observationsFor(st, st.Results[i])
+		return nil
+	})
 	for name, r := range st.ActiveDNS {
 		ds.ActiveAAAA[name] = r.HasAAAA
 	}

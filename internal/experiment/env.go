@@ -9,39 +9,16 @@ import (
 	"v6lab/internal/world"
 )
 
-// Scratch is the recycled per-run mutable infrastructure a study executes
-// on: today, the L2 switch with its queue and frame arena. Reusing one
-// Scratch across consecutive runs (the six Table 2 experiments, a fleet
-// worker's homes) means the switch reaches a steady state where delivering
-// a full run's traffic allocates nothing.
-//
-// A Scratch is single-threaded state: it may be handed from study to study
-// but never shared by two concurrent ones.
-type Scratch struct {
-	net *netsim.Network
-}
-
-// NewScratch returns an empty Scratch; the switch is built on first use.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// Network returns the recycled switch, reset onto the given clock. The
-// reset invalidates every frame the previous run's arena handed out —
-// callers retain only capture copies and value types, which is the
-// Reset contract that makes recycling safe. Exported for run drivers that
-// orchestrate their own delivery loop over a study's infrastructure (the
-// timeline engine); everyone else goes through RunExperiment.
-func (sc *Scratch) Network(clock *netsim.Clock) *netsim.Network {
-	if sc.net == nil {
-		sc.net = netsim.NewNetwork(clock)
-	} else {
-		sc.net.Reset(clock)
-	}
-	return sc.net
-}
-
-// network is the package-internal spelling RunExperiment uses.
-func (sc *Scratch) network(clock *netsim.Clock) *netsim.Network {
-	return sc.Network(clock)
+// network returns the study's recycled switch, reset onto the study
+// clock. Reusing one switch across consecutive runs (the six Table 2
+// experiments, a fleet worker's homes) means it reaches a steady state
+// where delivering a full run's traffic allocates nothing. The reset
+// invalidates every frame the previous run's arena handed out — callers
+// retain only capture copies and value types, which is the Reset contract
+// that makes recycling safe.
+func (st *Study) network() *netsim.Network {
+	st.net.Reset(st.Clock)
+	return st.net
 }
 
 // EnvPool recycles isolated Table 2 run environments — device stacks,

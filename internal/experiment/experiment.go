@@ -244,9 +244,9 @@ type Study struct {
 	// Telemetry is nil.
 	tm *studyMetrics
 
-	// scratch holds the study's recycled run infrastructure (the switch
-	// and its frame arena); never nil after construction.
-	scratch *Scratch
+	// net is the study's recycled L2 switch (see network); never nil
+	// after construction.
+	net *netsim.Network
 	// pool, when non-nil, recycles whole isolated environments across
 	// Table 2 runs and across studies over the same World.
 	pool *EnvPool
@@ -255,10 +255,10 @@ type Study struct {
 // StudyOptions parameterizes testbed construction. The zero value builds
 // the paper's single-home study: the full 93-device registry, the paper's
 // capture start time, and the default frame budget. Unless World, Pool, or
-// Scratch deliberately share state, every field the study touches is
+// Network deliberately share state, every field the study touches is
 // instantiated per call — two studies built from such options share no
 // mutable state and may run on concurrent goroutines. (A shared World is
-// read-only and therefore also concurrency-safe; a shared Scratch is not.)
+// read-only and therefore also concurrency-safe; a shared Network is not.)
 type StudyOptions struct {
 	// World, when non-nil, is a prebuilt immutable world the study runs
 	// over, shared read-only with any number of other studies. The study
@@ -272,11 +272,11 @@ type StudyOptions struct {
 	// are keyed by World identity, so a pool only pays off when studies
 	// share a World; mismatched environments are simply not reused.
 	Pool *EnvPool
-	// Scratch, when non-nil, donates recycled run infrastructure (the L2
-	// switch and its frame arena) to this study. Sharing a Scratch is
+	// Network, when non-nil, is the L2 switch (with its frame arena) the
+	// study runs on; the study resets it before every run. Sharing one is
 	// only legal across *sequential* studies — one fleet worker's homes,
-	// never two concurrent ones. Nil means private scratch.
-	Scratch *Scratch
+	// never two concurrent ones. Nil means a private switch.
+	Network *netsim.Network
 	// Devices selects the device population; nil means the full registry.
 	// Ignored when World is set (the world fixes the population).
 	// Workload plans scale with the population: a household holding a
@@ -355,11 +355,11 @@ func NewStudyWith(opts StudyOptions) *Study {
 		Workers:         opts.Workers,
 		Telemetry:       opts.Telemetry,
 		Progress:        opts.Progress,
-		scratch:         opts.Scratch,
+		net:             opts.Network,
 		pool:            opts.Pool,
 	}
-	if st.scratch == nil {
-		st.scratch = NewScratch()
+	if st.net == nil {
+		st.net = netsim.NewNetwork(nil)
 	}
 	if opts.Telemetry != nil {
 		st.tm = newStudyMetrics(opts.Telemetry)
@@ -410,7 +410,7 @@ func (st *Study) RunAllContext(ctx context.Context) error {
 // functionality test.
 func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 	began := st.Clock.Now()
-	net := st.scratch.network(st.Clock)
+	net := st.network()
 	if st.tm != nil {
 		net.SetMetrics(st.tm.net)
 	} else {

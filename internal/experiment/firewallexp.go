@@ -137,13 +137,13 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 	return rep, nil
 }
 
-// bootFirewalled resets the study's scratch network around its stacks
+// bootFirewalled resets the study's switch around its stacks
 // with pol installed on the router's inbound-IPv6 path, then runs the
 // full boot + announce + workload sequence so conntrack holds the
 // devices' outbound flows — the state every WAN-vantage scan must
 // traverse.
 func (st *Study) bootFirewalled(cfg Config, pol firewall.Policy) (*netsim.Network, *router.Router, *firewall.Firewall, error) {
-	net := st.scratch.network(st.Clock)
+	net := st.network()
 	if st.tm != nil {
 		net.SetMetrics(st.tm.net)
 	} else {

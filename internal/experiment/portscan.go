@@ -55,7 +55,7 @@ func probePorts(profiles []*device.Profile) []uint16 {
 // families, harvesting IPv6 addresses via all-nodes echo and the router's
 // neighbor table exactly as §4.3 describes.
 func (st *Study) RunPortScan() (*ScanReport, error) {
-	net := st.scratch.network(st.Clock)
+	net := st.network()
 	if st.tm != nil {
 		net.SetMetrics(st.tm.net)
 	} else {

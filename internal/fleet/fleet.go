@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"v6lab/internal/addr"
@@ -22,6 +21,8 @@ import (
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
 	"v6lab/internal/firewall"
+	"v6lab/internal/netsim"
+	"v6lab/internal/pool"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
 )
@@ -309,8 +310,8 @@ type HomeResult struct {
 
 // runHome builds and runs one fully self-contained home. reg is the fleet
 // run's shared registry snapshot (profiles are read-only during runs);
-// scratch is the calling worker's recycled run infrastructure.
-func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experiment.Scratch) (*HomeResult, error) {
+// net is the calling worker's recycled switch.
+func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, net *netsim.Network) (*HomeResult, error) {
 	profiles := make([]*device.Profile, len(spec.DeviceIndexes))
 	for j, di := range spec.DeviceIndexes {
 		profiles[j] = reg[di]
@@ -322,7 +323,7 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, scratch *experime
 		Capture:         cfg.Capture,
 		Observe:         analysis.Streaming(),
 		Telemetry:       cfg.Telemetry,
-		Scratch:         scratch,
+		Network:         net,
 	})
 	began := st.Clock.Now()
 	ec, ok := experiment.ConfigByID(spec.ConfigID)
@@ -431,55 +432,31 @@ func RunContext(ctx context.Context, cfg Config) (*Population, error) {
 	// copy instead of deep-copying the registry twice per home.
 	reg := device.Registry()
 	results := make([]*HomeResult, cfg.Homes)
-	errs := make([]error, cfg.Homes)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers > cfg.Homes {
-		workers = cfg.Homes
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Per-worker recycled scratch: each home's switch traffic runs
-			// in the same arena, so a long fleet allocates frame storage
-			// once per worker, not once per home.
-			scratch := experiment.NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = runHome(cfg, reg, cfg.specFor(reg, i), scratch)
-				if hr := results[i]; hr != nil {
-					if homesDone != nil {
-						homesDone.Inc()
-					}
-					telemetry.Emit(cfg.Progress, telemetry.Event{
-						Scope:   "fleet",
-						ID:      fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
-						Detail:  fmt.Sprintf("%s, %d devices, %d/%d functional", hr.Spec.ConfigID, hr.Devices, hr.Functional, hr.Devices),
-						Elapsed: hr.Elapsed,
-					})
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.Homes; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	// A cancelled fleet registers nothing: the ctx error wins over any
-	// per-home results already computed.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
+	// Per-worker recycled switch: each home's traffic runs in the same
+	// arena, so a long fleet allocates frame storage once per worker, not
+	// once per home. A cancelled fleet registers nothing: the ctx error
+	// wins over any per-home results already computed.
+	err := pool.Run(ctx, cfg.Homes, cfg.Workers, func(int) *netsim.Network {
+		return netsim.NewNetwork(nil)
+	}, func(net *netsim.Network, i int) error {
+		hr, err := runHome(cfg, reg, cfg.specFor(reg, i), net)
 		if err != nil {
-			return nil, fmt.Errorf("fleet: home %d: %w", i, err)
+			return fmt.Errorf("fleet: home %d: %w", i, err)
 		}
+		results[i] = hr
+		if homesDone != nil {
+			homesDone.Inc()
+		}
+		telemetry.Emit(cfg.Progress, telemetry.Event{
+			Scope:   "fleet",
+			ID:      fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
+			Detail:  fmt.Sprintf("%s, %d devices, %d/%d functional", hr.Spec.ConfigID, hr.Devices, hr.Functional, hr.Devices),
+			Elapsed: hr.Elapsed,
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Population{Cfg: cfg, Homes: results}, nil
 }

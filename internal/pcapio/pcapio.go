@@ -12,6 +12,8 @@ import (
 	"io"
 	"os"
 	"time"
+
+	"v6lab/internal/packet"
 )
 
 const (
@@ -223,50 +225,15 @@ type Capture struct {
 	// arena bump-allocates record payload copies in 64 KiB chunks: one
 	// allocation per chunk instead of one per frame. Chunks are retained
 	// until Reset, so Record.Data slices stay stable until then.
-	arena arena
+	arena packet.Arena
 	// bytes is the running sum of record data lengths (see Bytes).
 	bytes int
-}
-
-// arena is a minimal bump allocator (pcapio stays stdlib-only, so it does
-// not borrow the packet package's).
-type arena struct {
-	chunks [][]byte
-	cur    int
-}
-
-func (a *arena) copyIn(b []byte) []byte {
-	n := len(b)
-	for {
-		if a.cur == len(a.chunks) {
-			size := 1 << 16
-			if n > size {
-				size = n
-			}
-			a.chunks = append(a.chunks, make([]byte, 0, size))
-		}
-		c := a.chunks[a.cur]
-		if cap(c)-len(c) >= n {
-			off := len(c)
-			c = append(c, b...)
-			a.chunks[a.cur] = c
-			return c[off : off+n : off+n]
-		}
-		a.cur++
-	}
-}
-
-func (a *arena) reset() {
-	for i := range a.chunks {
-		a.chunks[i] = a.chunks[i][:0]
-	}
-	a.cur = 0
 }
 
 // Add appends a frame, copying data (into the capture's arena) so callers
 // may reuse their buffers.
 func (c *Capture) Add(t time.Time, data []byte) {
-	c.Records = append(c.Records, Record{Time: t, Data: c.arena.copyIn(data)})
+	c.Records = append(c.Records, Record{Time: t, Data: c.arena.CopyIn(data)})
 	c.bytes += len(data)
 }
 
@@ -284,7 +251,7 @@ func (c *Capture) Bytes() int { return c.bytes }
 // have been fully consumed (written out, analyzed, or discarded).
 func (c *Capture) Reset() {
 	c.Records = c.Records[:0]
-	c.arena.reset()
+	c.arena.Reset()
 	c.bytes = 0
 }
 

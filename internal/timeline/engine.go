@@ -3,7 +3,6 @@ package timeline
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"v6lab/internal/device"
@@ -11,6 +10,7 @@ import (
 	"v6lab/internal/faults"
 	"v6lab/internal/fleet"
 	"v6lab/internal/netsim"
+	"v6lab/internal/pool"
 	"v6lab/internal/router"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/world"
@@ -138,7 +138,8 @@ func (e *homeEngine) drain() error {
 }
 
 // runHome builds and runs one fully self-contained home over the horizon.
-func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, scratch *experiment.Scratch) (*HomeTimeline, error) {
+// net is the calling worker's recycled switch.
+func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, net *netsim.Network) (*HomeTimeline, error) {
 	profiles := make([]*device.Profile, len(spec.DeviceIndexes))
 	for j, di := range spec.DeviceIndexes {
 		profiles[j] = reg[di]
@@ -152,10 +153,11 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, scratch *ex
 		World:     w,
 		Capture:   experiment.CaptureNone,
 		Telemetry: cfg.Telemetry,
+		Network:   net,
 	})
 	// The timeline drives its own delivery loop over the worker's recycled
 	// switch; the study contributes world, stacks, cloud clone, and clock.
-	net := scratch.Network(st.Clock)
+	net.Reset(st.Clock)
 	rt := router.New(ec.Router, st.Cloud)
 	rt.Attach(net)
 	var fp *faults.Profile
@@ -540,8 +542,9 @@ func Run(cfg Config) (*Report, error) {
 // RunContext runs Homes independent simulated homes over the horizon on a
 // bounded worker pool. Results merge in home index order, so the Report
 // is byte-identical for any worker count. ctx is checked before each home
-// starts and periodically inside each home's event loop; a cancelled
-// timeline returns ctx.Err() with no Report — never a partial one.
+// starts, not inside a home's event loop: a home that has started runs to
+// the horizon. A cancelled timeline returns ctx.Err() with no Report —
+// never a partial one.
 func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Horizon <= 0 {
@@ -558,56 +561,33 @@ func RunContext(ctx context.Context, cfg Config) (*Report, error) {
 	fc := cfg.fleetCfg()
 	reg := device.Registry()
 	results := make([]*HomeTimeline, cfg.Homes)
-	errs := make([]error, cfg.Homes)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	workers := cfg.Workers
-	if workers > cfg.Homes {
-		workers = cfg.Homes
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scratch := experiment.NewScratch()
-			for i := range jobs {
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i], errs[i] = runHome(cfg, reg, fc.SpecForIn(reg, i), scratch)
-				if hr := results[i]; hr != nil {
-					if homesDone != nil {
-						homesDone.Inc()
-					}
-					if burstsDone != nil {
-						n := 0
-						for _, d := range hr.Days {
-							n += d.BurstsAttempted
-						}
-						burstsDone.Add(uint64(n))
-					}
-					telemetry.Emit(cfg.Progress, telemetry.Event{
-						Scope:  "timeline",
-						ID:     fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
-						Detail: fmt.Sprintf("%s, %d devices, %d frames", hr.Spec.ConfigID, len(hr.Spec.DeviceIndexes), hr.FramesDelivered),
-					})
-				}
-			}
-		}()
-	}
-	for i := 0; i < cfg.Homes; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	for i, err := range errs {
+	err := pool.Run(ctx, cfg.Homes, cfg.Workers, func(int) *netsim.Network {
+		return netsim.NewNetwork(nil)
+	}, func(net *netsim.Network, i int) error {
+		hr, err := runHome(cfg, reg, fc.SpecForIn(reg, i), net)
 		if err != nil {
-			return nil, fmt.Errorf("timeline: home %d: %w", i, err)
+			return fmt.Errorf("timeline: home %d: %w", i, err)
 		}
+		results[i] = hr
+		if homesDone != nil {
+			homesDone.Inc()
+		}
+		if burstsDone != nil {
+			n := 0
+			for _, d := range hr.Days {
+				n += d.BurstsAttempted
+			}
+			burstsDone.Add(uint64(n))
+		}
+		telemetry.Emit(cfg.Progress, telemetry.Event{
+			Scope:  "timeline",
+			ID:     fmt.Sprintf("home %d/%d", i+1, cfg.Homes),
+			Detail: fmt.Sprintf("%s, %d devices, %d frames", hr.Spec.ConfigID, len(hr.Spec.DeviceIndexes), hr.FramesDelivered),
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Report{Cfg: cfg, Homes: results}, nil
 }

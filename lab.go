@@ -493,9 +493,13 @@ func (l *Lab) ExportCSV(dir string) error {
 }
 
 // SavePcaps writes one pcap file per connectivity experiment into dir.
-// Labs built with WithCapture(CaptureNone) retain no frames and return an
-// error here.
+// A lab whose Connectivity part has not run returns an error wrapping
+// ErrNotRun, without creating dir. Labs built with WithCapture(CaptureNone)
+// retain no frames and return an error here too.
 func (l *Lab) SavePcaps(dir string) error {
+	if l.Data == nil {
+		return fmt.Errorf("saving pcaps: the Connectivity part has not run: %w", ErrNotRun)
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

@@ -2,6 +2,8 @@ package v6lab
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math"
 	"os"
 	"path/filepath"
@@ -76,6 +78,25 @@ func TestSavePcaps(t *testing.T) {
 	}
 	if len(matches) != 6 {
 		t.Fatalf("pcap files = %d, want 6", len(matches))
+	}
+}
+
+// TestSavePcapsBeforeConnectivity: a lab whose Connectivity part has not
+// run has no pcaps to save, so SavePcaps reports ErrNotRun and leaves the
+// file system alone instead of creating an empty directory.
+func TestSavePcapsBeforeConnectivity(t *testing.T) {
+	fleetOnly := New()
+	if err := fleetOnly.Run(Fleet(2)); err != nil {
+		t.Fatal(err)
+	}
+	for name, lab := range map[string]*Lab{"fresh": New(), "fleet-only": fleetOnly} {
+		dir := filepath.Join(t.TempDir(), "pcaps")
+		if err := lab.SavePcaps(dir); !errors.Is(err, ErrNotRun) {
+			t.Errorf("%s: err = %v, want ErrNotRun", name, err)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: SavePcaps created %s (stat err = %v)", name, dir, err)
+		}
 	}
 }
 
