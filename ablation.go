@@ -2,6 +2,7 @@ package v6lab
 
 import (
 	"v6lab/internal/analysis"
+	"v6lab/internal/world"
 )
 
 // Options selects counterfactual mitigations for ablation studies — the
@@ -23,17 +24,16 @@ type Options struct {
 // NewWithOptions builds a lab with the given mitigations applied to every
 // device profile (and, for AAAAEverywhere, to the simulated Internet).
 // Functional options (WithDevices, WithFaultProfile, ...) compose with the
-// ablations.
+// ablations. An active ablation builds a private World and mutates it
+// before any study exists, so a shared Env's World is never touched; every
+// part the lab runs sees the counterfactual.
 func NewWithOptions(opts Options, extra ...Option) *Lab {
-	if opts.ForcePrivacyExtensions || opts.ForceDAD || opts.AAAAEverywhere {
-		// An active ablation mutates profiles, plans, and the cloud registry
-		// below — all world state. It must never touch a shared Env's world,
-		// so the lab builds a private one.
-		extra = append(extra, func(o *options) { o.env = nil })
+	o := collectOptions(extra)
+	if !opts.ForcePrivacyExtensions && !opts.ForceDAD && !opts.AAAAEverywhere {
+		return newLab(o, nil)
 	}
-	l := New(extra...)
-	st := l.Study
-	for _, p := range st.Profiles {
+	w := world.Build(o.devices)
+	for _, p := range w.Profiles {
 		if opts.ForcePrivacyExtensions {
 			p.EUI64 = false
 			p.EUI64GUA = false
@@ -49,16 +49,16 @@ func NewWithOptions(opts Options, extra ...Option) *Lab {
 		}
 	}
 	if opts.AAAAEverywhere {
-		for name := range st.Cloud.Domains() {
-			st.Cloud.EnsureAAAA(name)
-		}
-		for _, pl := range st.Plans {
+		// Plan order is the order Build registered the domains in, so the
+		// new AAAA endpoints are allocated deterministically.
+		for _, pl := range w.Plans {
 			for i := range pl.Specs {
 				pl.Specs[i].HasAAAA = true
+				w.Cloud.EnsureAAAA(pl.Specs[i].Name)
 			}
 		}
 	}
-	return l
+	return newLab(o, w)
 }
 
 // EUI64Exposure is a convenience accessor for ablation comparisons.

@@ -3,6 +3,8 @@ package v6lab
 import (
 	"sync"
 	"testing"
+
+	"v6lab/internal/faults"
 )
 
 var (
@@ -77,4 +79,48 @@ func TestAAAAEverywhereAblation(t *testing.T) {
 		t.Errorf("functional (%d) exceeds devices with any IPv6 support (%d)", got, 93-f.NoIPv6.Total())
 	}
 	t.Logf("AAAA-everywhere: %d functional (baseline 8)", got)
+}
+
+// TestAblationAAAAAddressesDeterministic: the AAAA-everywhere ablation
+// allocates its new AAAA endpoints in plan order, so two labs give every
+// domain the same address (and the ablation's pcaps are reproducible).
+func TestAblationAAAAAddressesDeterministic(t *testing.T) {
+	a := NewWithOptions(Options{AAAAEverywhere: true}).Study.Cloud.Domains()
+	b := NewWithOptions(Options{AAAAEverywhere: true}).Study.Cloud.Domains()
+	if len(a) != len(b) {
+		t.Fatalf("domain registries differ in size: %d vs %d", len(a), len(b))
+	}
+	for name, d := range a {
+		if len(d.V6) != 1 {
+			t.Fatalf("%s has %d AAAA endpoints under AAAA-everywhere, want 1", name, len(d.V6))
+		}
+		if got := b[name].V6; len(got) != 1 || got[0] != d.V6[0] {
+			t.Errorf("%s: AAAA %v in one lab, %v in another", name, d.V6, got)
+		}
+	}
+}
+
+// TestAblationResilienceSeesCounterfactual: the resilience grid runs over
+// the ablation lab's own World, so its clean grid reproduces the lab's
+// connectivity study — including the device AAAA-everywhere makes
+// functional on IPv6-only.
+func TestAblationResilienceSeesCounterfactual(t *testing.T) {
+	lab := NewWithOptions(Options{AAAAEverywhere: true}, WithDevices("SmartThings Hub", "Wyze Cam"))
+	if err := lab.Run(Connectivity(), Resilience(Impairments(faults.Clean()))); err != nil {
+		t.Fatal(err)
+	}
+	if !lab.Study.Result("ipv6-only").Functional["SmartThings Hub"] {
+		t.Fatal("AAAA-everywhere left SmartThings Hub non-functional on IPv6-only")
+	}
+	for _, res := range lab.Study.Results {
+		want := 0
+		for _, ok := range res.Functional {
+			if ok {
+				want++
+			}
+		}
+		if got := lab.Resil.Config("clean", res.Config.ID).Functional; got != want {
+			t.Errorf("%s: clean grid has %d functional devices, the lab's study %d", res.Config.ID, got, want)
+		}
+	}
 }

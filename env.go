@@ -15,12 +15,12 @@ import (
 // reset contract re-seeds every piece of cross-run state absolutely.
 //
 // An Env is safe for concurrent use: the world is immutable after
-// construction and the pool is internally locked. Two restrictions keep
-// the sharing sound, both enforced automatically: a lab restricted with
-// WithDevices builds a private world (its population differs), and an
-// ablation lab (NewWithOptions with any mitigation set) builds a private
-// world too, because ablations mutate profiles and the cloud registry
-// before running.
+// construction and the pool is internally locked. A lab uses the Env only
+// when its World is the Env's; two kinds of lab build a private World
+// instead: one restricted with WithDevices (its population differs), and
+// an ablation lab (NewWithOptions with any mitigation set), which mutates
+// profiles and the cloud registry of a World it built itself before any
+// study exists.
 type Env struct {
 	world *world.World
 	pool  *experiment.EnvPool
@@ -36,10 +36,11 @@ func NewEnv() *Env {
 // what makes the second lab's setup nearly free).
 func (e *Env) IdleEnvs() int { return e.pool.Idle() }
 
-// WithEnv runs the lab over the shared environment: its study adopts the
-// Env's World and draws parallel run environments from the Env's pool.
-// Ignored when WithDevices restricts the population (the world would not
-// match); NewWithOptions drops it when an ablation is active.
+// WithEnv runs the lab over the shared environment: its studies — the
+// connectivity study and the resilience grid — adopt the Env's World and
+// draw parallel run environments from the Env's pool. Ignored when
+// WithDevices restricts the population (the world would not match) or an
+// ablation is active (NewWithOptions builds a private World).
 func WithEnv(env *Env) Option {
 	return func(o *options) { o.env = env }
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"v6lab/internal/faults"
 	"v6lab/internal/fleet"
 	"v6lab/internal/timeline"
 )
@@ -100,5 +101,31 @@ func TestTimelinePartAndArtifact(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("timeline artifact missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTimelineSeedlessImpairmentsInheritSeed: a fault profile without an
+// explicit seed inherits the part's Seed(...), or else the lab's WithSeed,
+// exactly as if the profile carried that seed itself.
+func TestTimelineSeedlessImpairmentsInheritSeed(t *testing.T) {
+	seedless := faults.LossyWiFi()
+	seedless.Seed = 0
+	seeded := seedless
+	seeded.Seed = 7
+	render := func(lab *Lab, part RunPart) string {
+		t.Helper()
+		if err := lab.Run(part); err != nil {
+			t.Fatal(err)
+		}
+		return lab.Report(TimelineStudy)
+	}
+	small := TimelineConfig(timeline.Config{Homes: 4})
+	if a, b := render(New(), Timeline(Days(1), small, Seed(7), Impairments(seedless))),
+		render(New(), Timeline(Days(1), small, Seed(7), Impairments(seeded))); a != b {
+		t.Errorf("Seed(7) with a seedless profile differs from the profile seeded 7:\n%s\n---\n%s", a, b)
+	}
+	if a, b := render(New(WithSeed(7), WithFaultProfile(seedless)), Timeline(Days(1), small)),
+		render(New(WithSeed(7), WithFaultProfile(seeded)), Timeline(Days(1), small)); a != b {
+		t.Errorf("WithSeed(7) with a seedless profile differs from the profile seeded 7:\n%s\n---\n%s", a, b)
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"v6lab/internal/netsim"
 	"v6lab/internal/pool"
 	"v6lab/internal/telemetry"
-	"v6lab/internal/world"
 )
 
 // This file is the campaign scheduler: the discovered population swept
@@ -136,19 +135,8 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 		return hc, nil
 	}
 
-	w := hr.World
-	if w == nil {
-		// Populations produced without RetainWorlds (or by older callers):
-		// rebuild the world from the spec.
-		reg := device.Registry()
-		profiles := make([]*device.Profile, len(spec.DeviceIndexes))
-		for j, di := range spec.DeviceIndexes {
-			profiles[j] = reg[di]
-		}
-		w = world.Build(profiles)
-	}
 	st := experiment.NewStudyWith(experiment.StudyOptions{
-		World:           w,
+		World:           hr.World,
 		MaxFramesPerRun: cfg.Fleet.MaxFramesPerRun,
 		// The campaign scores probe answers, not frames: no capture, no
 		// analysis tap.

@@ -95,15 +95,10 @@ func ConfigByID(id string) (Config, bool) {
 type CapturePolicy int
 
 const (
-	// CaptureDefault resolves to a caller-appropriate policy: the run
-	// engine treats it as CaptureFull (the pre-policy behavior, keeping
-	// zero-value StudyOptions byte-identical), while aggregate-only
-	// drivers — the fleet, the resilience grid — resolve it to
-	// CaptureNone before building their studies.
-	CaptureDefault CapturePolicy = iota
-	// CaptureFull buffers every delivered frame into a pcapio.Capture
-	// (the tcpdump-equivalent record pcap artifacts are written from).
-	CaptureFull
+	// CaptureFull, the zero value, buffers every delivered frame into a
+	// pcapio.Capture (the tcpdump-equivalent record pcap artifacts are
+	// written from).
+	CaptureFull CapturePolicy = iota
 	// CaptureNone materializes no Capture at all: frames are parsed once
 	// at delivery by the study's streaming Observer and the bytes are
 	// never retained. Requires an ObserverFactory.
@@ -209,10 +204,9 @@ type Study struct {
 	// MaxFramesPerRun bounds each experiment's frame deliveries.
 	MaxFramesPerRun int
 
-	// Capture selects frame buffering per run; CaptureDefault behaves as
-	// CaptureFull here. CaptureNone runs feed the Observe factory's
-	// streaming sink instead — or, with no factory, attach no analysis
-	// tap at all (aggregate-only runs).
+	// Capture selects frame buffering per run. CaptureNone runs feed the
+	// Observe factory's streaming sink instead — or, with no factory,
+	// attach no analysis tap at all (aggregate-only runs).
 	Capture CapturePolicy
 	// Observe, when non-nil, builds the streaming analysis sink each
 	// CaptureNone run feeds at delivery time. Ignored on buffered runs
@@ -252,20 +246,19 @@ type Study struct {
 	pool *EnvPool
 }
 
-// StudyOptions parameterizes testbed construction. The zero value builds
-// the paper's single-home study: the full 93-device registry, the paper's
-// capture start time, and the default frame budget. Unless World, Pool, or
-// Network deliberately share state, every field the study touches is
-// instantiated per call — two studies built from such options share no
-// mutable state and may run on concurrent goroutines. (A shared World is
-// read-only and therefore also concurrency-safe; a shared Network is not.)
+// StudyOptions parameterizes testbed construction. World is required;
+// every other zero field selects a default: the paper's capture start
+// time, the default frame budget, buffered capture, one worker. Unless
+// Pool or Network deliberately share state, every mutable piece the study
+// touches is instantiated per call — two studies built from such options
+// share no mutable state and may run on concurrent goroutines. (The World
+// is read-only and therefore concurrency-safe; a shared Network is not.)
 type StudyOptions struct {
-	// World, when non-nil, is a prebuilt immutable world the study runs
-	// over, shared read-only with any number of other studies. The study
-	// serves traffic through a Clone of its cloud (private query
-	// counters), so sharing is race-free. When nil, the study builds a
-	// private world from Devices/Start below — the compatibility path,
-	// byte-identical to the pre-World API.
+	// World is the prebuilt immutable world the study runs over: its
+	// population, workload plans (which scale with the population), and
+	// primed cloud registry. It may be shared read-only with any number of
+	// other studies; the study serves traffic through a Clone of its cloud
+	// (private query counters), so sharing is race-free.
 	World *world.World
 	// Pool, when non-nil, recycles isolated Table 2 run environments
 	// (stacks, switch, clock, cloud clone) across studies. Environments
@@ -277,12 +270,6 @@ type StudyOptions struct {
 	// only legal across *sequential* studies — one fleet worker's homes,
 	// never two concurrent ones. Nil means a private switch.
 	Network *netsim.Network
-	// Devices selects the device population; nil means the full registry.
-	// Ignored when World is set (the world fixes the population).
-	// Workload plans scale with the population: a household holding a
-	// subset of a category gets a proportional share of that category's
-	// paper-derived domain and volume targets.
-	Devices []*device.Profile
 	// Start is the simulated capture start time; the zero value means the
 	// paper's 2024-04-05 09:00 UTC.
 	Start time.Time
@@ -293,9 +280,8 @@ type StudyOptions struct {
 	// experiment the study runs. Inactive profiles (see faults.Profile)
 	// are ignored; nil means a perfect network.
 	Faults *faults.Profile
-	// Capture selects frame buffering per run. The zero value
-	// (CaptureDefault) keeps the buffered pre-policy behavior here;
-	// aggregate-only drivers resolve it to CaptureNone themselves.
+	// Capture selects frame buffering per run; the zero value is
+	// CaptureFull.
 	Capture CapturePolicy
 	// Observe builds the streaming analysis sink for CaptureNone runs;
 	// see Study.Observe.
@@ -315,11 +301,11 @@ type StudyOptions struct {
 // NewStudy builds the testbed: 93 device stacks, their workload plans, and
 // a cloud primed with every planned destination domain.
 func NewStudy() *Study {
-	return NewStudyWith(StudyOptions{})
+	return NewStudyWith(StudyOptions{World: world.Build(nil)})
 }
 
-// NewStudyWith builds a testbed from options; see StudyOptions for the
-// zero-value defaults.
+// NewStudyWith builds a testbed over opts.World; see StudyOptions for the
+// defaults of every other field.
 func NewStudyWith(opts StudyOptions) *Study {
 	start := opts.Start
 	if start.IsZero() {
@@ -330,22 +316,12 @@ func NewStudyWith(opts StudyOptions) *Study {
 		maxFrames = 3_000_000
 	}
 	w := opts.World
-	cl := (*cloud.Cloud)(nil)
-	if w == nil {
-		// Private world: the study owns it, so it can serve traffic on the
-		// master cloud directly — exactly the pre-World construction (and
-		// what keeps the ablation lab's EnsureAAAA mutations legal).
-		w = world.Build(opts.Devices)
-		cl = w.Cloud
-	} else {
-		// Shared world: private query counters over the shared registry.
-		cl = w.Cloud.Clone()
-	}
 	st := &Study{
-		World:           w,
-		Profiles:        w.Profiles,
-		Plans:           w.Plans,
-		Cloud:           cl,
+		World:    w,
+		Profiles: w.Profiles,
+		Plans:    w.Plans,
+		// Private query counters over the shared registry.
+		Cloud:           w.Cloud.Clone(),
 		Clock:           netsim.NewClock(start),
 		MACToDevice:     w.MACToDevice,
 		ActiveDNS:       map[string]AAAAResult{},

@@ -6,7 +6,6 @@ import (
 
 	"v6lab/internal/faults"
 	"v6lab/internal/telemetry"
-	"v6lab/internal/world"
 )
 
 // ResilienceConfig aggregates one Table 2 experiment's outcome under one
@@ -65,7 +64,8 @@ func (r *ResilienceReport) Config(profile, id string) *ResilienceConfig {
 // from opts, so impairment in one profile cannot leak state into another;
 // the whole experiment is deterministic in (opts, profiles). Profiles run
 // in the order given, each grid on the Table 2 engine with opts.Workers
-// workers, all of them over one World and one environment pool.
+// workers, all of them over opts.World and one environment pool. The grid
+// always streams: opts.Capture and opts.Observe are ignored.
 func RunResilience(opts StudyOptions, profiles ...faults.Profile) (*ResilienceReport, error) {
 	return RunResilienceContext(context.Background(), opts, profiles...)
 }
@@ -78,18 +78,13 @@ func RunResilienceContext(ctx context.Context, opts StudyOptions, profiles ...fa
 		profiles = faults.Grid()
 	}
 	// The grid reads stack and router state (failure stages, drop and
-	// retransmit counters), never frames, so the default capture policy
-	// here is none: no Capture is materialized and no analysis tap runs.
-	// Callers that do want buffered runs pass CaptureFull explicitly.
-	if opts.Capture == CaptureDefault {
-		opts.Capture = CaptureNone
-	}
+	// retransmit counters), never frames: no Capture is materialized and
+	// no analysis tap runs.
+	opts.Capture = CaptureNone
+	opts.Observe = nil
 	// One immutable world for the whole grid: every profile's study shares
 	// the population, plans, and primed cloud registry, and the pool hands
 	// each profile the environments the previous one warmed.
-	if opts.World == nil {
-		opts.World = world.Build(opts.Devices)
-	}
 	if opts.Pool == nil {
 		opts.Pool = NewEnvPool()
 	}

@@ -7,6 +7,7 @@ import (
 	"v6lab/internal/device"
 	"v6lab/internal/faults"
 	"v6lab/internal/pcapio"
+	"v6lab/internal/world"
 )
 
 // subset picks named profiles from a fresh registry, preserving registry
@@ -32,7 +33,6 @@ func subset(t *testing.T, names ...string) []*device.Profile {
 // The resilience grid must be byte-deterministic: two runs from the same
 // options produce identical reports and identical pcaps.
 func TestResilienceDeterministic(t *testing.T) {
-	opts := StudyOptions{Devices: subset(t, "TiVo Stream", "Apple TV", "Wyze Cam")}
 	profiles := []faults.Profile{faults.LossyWiFi(), faults.ClampedTunnel()}
 
 	// outcome is a comparable per-experiment summary; captures are
@@ -45,8 +45,7 @@ func TestResilienceDeterministic(t *testing.T) {
 	}
 
 	run := func() ([]outcome, []*pcapio.Capture) {
-		opts := opts
-		opts.Devices = subset(t, "TiVo Stream", "Apple TV", "Wyze Cam")
+		opts := StudyOptions{World: world.Build(subset(t, "TiVo Stream", "Apple TV", "Wyze Cam"))}
 		var outs []outcome
 		var caps []*pcapio.Capture
 		for _, p := range profiles {
@@ -102,7 +101,7 @@ func TestResilienceDeterministic(t *testing.T) {
 // while a PMTUD-honoring device recovers via Packet-Too-Big.
 func TestClampedTunnelChangesOutcome(t *testing.T) {
 	names := []string{"TiVo Stream", "Apple TV"}
-	rep, err := RunResilience(StudyOptions{Devices: subset(t, names...)},
+	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, names...))},
 		faults.Clean(), faults.ClampedTunnel())
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +137,7 @@ func TestClampedTunnelChangesOutcome(t *testing.T) {
 // device the clean network had functional, at the cost of retransmits.
 func TestLossyWiFiRecoversViaRetries(t *testing.T) {
 	names := []string{"Apple TV", "Nest Hub", "Wyze Cam"}
-	rep, err := RunResilience(StudyOptions{Devices: subset(t, names...)},
+	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, names...))},
 		faults.Clean(), faults.LossyWiFi())
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +166,7 @@ func TestLossyWiFiRecoversViaRetries(t *testing.T) {
 // devices alive.
 func TestFlakyDNSMasqRecoveredByConfigRetries(t *testing.T) {
 	names := []string{"Apple TV", "Nest Hub"}
-	rep, err := RunResilience(StudyOptions{Devices: subset(t, names...)},
+	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, names...))},
 		faults.Clean(), faults.FlakyDNSMasq())
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +186,7 @@ func TestFlakyDNSMasqRecoveredByConfigRetries(t *testing.T) {
 
 // RunResilience defaults to the full grid and reports every profile.
 func TestRunResilienceDefaultGrid(t *testing.T) {
-	rep, err := RunResilience(StudyOptions{Devices: subset(t, "Wyze Cam")})
+	rep, err := RunResilience(StudyOptions{World: world.Build(subset(t, "Wyze Cam"))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,12 +65,6 @@ type Config struct {
 	// MaxFramesPerRun bounds each home experiment's frame deliveries;
 	// 0 means the study default.
 	MaxFramesPerRun int
-	// Capture selects per-home frame buffering. The fleet only needs
-	// aggregates, so the default (CaptureDefault) resolves to CaptureNone:
-	// each home's frames stream through an analysis Observer at delivery
-	// and are never buffered. Set CaptureFull to restore the buffered
-	// batch path (e.g. when debugging a home's traffic).
-	Capture experiment.CapturePolicy
 	// SkipExposure disables the per-home WAN-vantage inbound scan.
 	SkipExposure bool
 	// RetainWorlds keeps each home's immutable world on its HomeResult, so
@@ -137,9 +131,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policies == nil {
 		c.Policies = DefaultPolicies
-	}
-	if c.Capture == experiment.CaptureDefault {
-		c.Capture = experiment.CaptureNone
 	}
 	return c
 }
@@ -320,10 +311,12 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, net *netsim.Netwo
 	st := experiment.NewStudyWith(experiment.StudyOptions{
 		World:           w,
 		MaxFramesPerRun: cfg.MaxFramesPerRun,
-		Capture:         cfg.Capture,
-		Observe:         analysis.Streaming(),
-		Telemetry:       cfg.Telemetry,
-		Network:         net,
+		// The fleet only needs aggregates: each home's frames stream
+		// through an analysis Observer at delivery and are never buffered.
+		Capture:   experiment.CaptureNone,
+		Observe:   analysis.Streaming(),
+		Telemetry: cfg.Telemetry,
+		Network:   net,
 	})
 	began := st.Clock.Now()
 	ec, ok := experiment.ConfigByID(spec.ConfigID)

@@ -149,8 +149,8 @@ func runSpec(ctx context.Context, spec JobSpec, sink telemetry.Sink) (*Result, e
 	// Study and firewall jobs serve per-experiment pcap artifacts from the
 	// buffered captures, so they pin CaptureFull explicitly (it is also
 	// the lab default; the pin documents the dependency). Fleet,
-	// resilience, and adversary jobs render aggregates only and keep the
-	// streaming CaptureNone defaults of their drivers.
+	// resilience, adversary, and timeline jobs render aggregates only, and
+	// their parts always stream.
 	case KindStudy:
 		parts = []v6lab.RunPart{v6lab.Connectivity()}
 	case KindFirewall:

@@ -6,11 +6,10 @@
 // switches, clocks, captures) lives in the experiment package's pooled
 // environments instead.
 //
-// Immutability contract: nothing in a World may be written after Build
-// returns while any study over it is live. The ablation lab
-// (v6lab.NewWithOptions) is the one sanctioned writer — it mutates
-// profiles and the cloud registry on a World it just built privately,
-// before any run starts.
+// Immutability contract: nothing in a World may be written once a study
+// over it exists. The ablation lab (v6lab.NewWithOptions) is the one
+// sanctioned writer — it mutates profiles, plans, and the cloud registry
+// of a World it just built itself, before building any study over it.
 package world
 
 import (
@@ -27,8 +26,8 @@ type World struct {
 	// Plans holds each device's workload plan, parallel to Profiles.
 	Plans []*device.Plan
 	// Cloud is the master simulated Internet, primed with every planned
-	// destination. Studies over a shared World serve traffic through
-	// Clones of it (private query counters, shared registry).
+	// destination. Every study serves traffic through a Clone of it
+	// (private query counters, shared registry).
 	Cloud *cloud.Cloud
 	// MACToDevice resolves capture frames back to device identities.
 	MACToDevice map[packet.MAC]*device.Profile

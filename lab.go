@@ -35,6 +35,7 @@ import (
 	"v6lab/internal/report"
 	"v6lab/internal/telemetry"
 	"v6lab/internal/timeline"
+	"v6lab/internal/world"
 )
 
 // Artifact names one of the paper's tables or figures.
@@ -114,17 +115,17 @@ type options struct {
 	horizonSet  bool
 }
 
-// CapturePolicy selects whether the lab's experiments buffer their frames
-// (see WithCapture); re-exported from the experiment package.
+// CapturePolicy selects whether the connectivity study's experiments
+// buffer their frames (see WithCapture); re-exported from the experiment
+// package.
 type CapturePolicy = experiment.CapturePolicy
 
-// The capture policies. CaptureDefault is the zero value and keeps each
-// driver's natural behavior: buffered for the lab's connectivity study
-// (pcap artifacts, recorded hashes), streaming for fleet and resilience.
+// The capture policies. CaptureFull is the zero value: the connectivity
+// study buffers its frames (pcap artifacts, recorded hashes). The fleet,
+// resilience, adversary, and timeline parts always stream.
 const (
-	CaptureDefault = experiment.CaptureDefault
-	CaptureFull    = experiment.CaptureFull
-	CaptureNone    = experiment.CaptureNone
+	CaptureFull = experiment.CaptureFull
+	CaptureNone = experiment.CaptureNone
 )
 
 // Option configures New.
@@ -170,9 +171,9 @@ func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
 }
 
-// WithCapture selects the lab's frame-capture policy. The default
-// (CaptureFull) buffers every experiment's frames into an in-memory
-// capture — the source for SavePcaps and the recorded pcap hashes.
+// WithCapture selects the connectivity study's frame-capture policy. The
+// default (CaptureFull) buffers every experiment's frames into an
+// in-memory capture — the source for SavePcaps and the recorded pcap hashes.
 // CaptureNone skips buffering entirely: each frame is parsed exactly once
 // at delivery by a streaming analysis observer, reports stay byte-identical
 // (asserted by TestStreamingEqualsBuffered), memory stays flat, and
@@ -232,6 +233,9 @@ type Lab struct {
 	TL *timeline.Report
 
 	opts options
+	// world is the World every study the lab builds runs over, chosen once
+	// at construction (see newLab).
+	world *world.World
 	// initErr records an option rejected at New time (e.g. an invalid
 	// WithHorizon); the first Run/RunContext returns it.
 	initErr error
@@ -244,6 +248,12 @@ type Lab struct {
 // Without options it is the paper's single-home study, byte-identical to
 // earlier releases.
 func New(opts ...Option) *Lab {
+	return newLab(collectOptions(opts), nil)
+}
+
+// collectOptions applies opts over the defaults and resolves WithDevices
+// names against the registry.
+func collectOptions(opts []Option) options {
 	o := options{seed: 1}
 	for _, opt := range opts {
 		opt(&o)
@@ -251,7 +261,22 @@ func New(opts ...Option) *Lab {
 	if len(o.deviceNames) > 0 {
 		o.devices = resolveDevices(o.deviceNames)
 	}
-	l := &Lab{opts: o}
+	return o
+}
+
+// newLab builds a lab over w, an ablation's private World, or — when w is
+// nil — over the World the options select: the Env's for the full
+// population (see WithEnv), otherwise a private one built from the
+// population.
+func newLab(o options, w *world.World) *Lab {
+	if w == nil {
+		if o.env != nil && o.devices == nil {
+			w = o.env.world
+		} else {
+			w = world.Build(o.devices)
+		}
+	}
+	l := &Lab{opts: o, world: w}
 	if o.horizonSet {
 		if err := o.horizon.validate(); err != nil {
 			l.initErr = fmt.Errorf("WithHorizon: %w", err)
@@ -259,21 +284,19 @@ func New(opts ...Option) *Lab {
 	}
 	so := l.studyOptions()
 	if o.fault != nil && o.fault.Active() {
-		fp := *o.fault
-		if fp.Seed == 0 {
-			fp.Seed = o.seed
-		}
+		fp := withSeed(*o.fault, o.seed)
 		so.Faults = &fp
 	}
 	l.Study = experiment.NewStudyWith(so)
 	return l
 }
 
-// studyOptions reconstructs the (fault-free) study options the lab was
-// built with, for parts that build their own studies.
+// studyOptions is the (fault-free) configuration of every study the lab
+// builds: the lab's World and its capture, budget, worker, and telemetry
+// settings.
 func (l *Lab) studyOptions() experiment.StudyOptions {
 	so := experiment.StudyOptions{
-		Devices:         l.opts.devices,
+		World:           l.world,
 		MaxFramesPerRun: l.opts.maxFrames,
 		Capture:         l.opts.capture,
 		// The factory is inert on buffered runs; under CaptureNone it is
@@ -283,10 +306,8 @@ func (l *Lab) studyOptions() experiment.StudyOptions {
 		Telemetry: l.opts.telemetry,
 		Progress:  l.opts.progress,
 	}
-	// A device-restricted lab simulates a different population than the
-	// shared world holds, so it keeps a private one (see WithEnv).
-	if l.opts.env != nil && len(l.opts.devices) == 0 {
-		so.World = l.opts.env.world
+	// The Env's pool recycles environments over the Env's World only.
+	if l.opts.env != nil && l.world == l.opts.env.world {
 		so.Pool = l.opts.env.pool
 	}
 	return so
@@ -328,7 +349,7 @@ func resolveDevices(names []string) []*device.Profile {
 // RunPart is one composable unit of work for Run. The provided parts —
 // Connectivity, FirewallComparison, Fleet, Adversary, Resilience,
 // Timeline — cover every study the lab knows how to run; each takes
-// PartOptions (Capture, Seed, Workers, Impairments, or a full config via
+// PartOptions (Seed, Workers, Impairments, or a full config via
 // FleetConfig/AdversaryConfig/TimelineConfig) for per-part control.
 type RunPart func(*Lab) error
 

@@ -11,17 +11,15 @@ import (
 )
 
 // PartOption tunes one composable part without touching the lab's global
-// options: Fleet(64, Capture(CaptureNone), Seed(7)) reads as one
-// population with its own capture policy and seed. Every part resolves
-// its settings the same way — an explicit PartOption wins over a config
-// struct passed via FleetConfig/AdversaryConfig/TimelineConfig, which
-// wins over the lab's WithWorkers/WithCapture/WithSeed defaults.
+// options: Fleet(64, Seed(7), Workers(4)) reads as one population with its
+// own seed and worker pool. Every part resolves its settings the same way
+// — an explicit PartOption wins over a config struct passed via
+// FleetConfig/AdversaryConfig/TimelineConfig, which wins over the lab's
+// WithWorkers/WithSeed defaults.
 type PartOption func(*partConfig)
 
 // partConfig accumulates the shared per-part settings.
 type partConfig struct {
-	capture     CapturePolicy
-	captureSet  bool
 	seed        uint64
 	seedSet     bool
 	workers     int
@@ -40,16 +38,27 @@ func applyParts(opts []PartOption) partConfig {
 	return pc
 }
 
-// Capture sets the part's frame-capture policy (the timeline part always
-// streams via CaptureNone and ignores it).
-func Capture(p CapturePolicy) PartOption {
-	return func(pc *partConfig) { pc.capture = p; pc.captureSet = true }
-}
-
 // Seed sets the part's derivation seed, independent of the lab's
 // WithSeed.
 func Seed(seed uint64) PartOption {
 	return func(pc *partConfig) { pc.seed = seed; pc.seedSet = true }
+}
+
+// seedOr is the seed the part's derivations use: Seed(...) when given,
+// otherwise def (the lab's WithSeed).
+func (pc *partConfig) seedOr(def uint64) uint64 {
+	if pc.seedSet {
+		return pc.seed
+	}
+	return def
+}
+
+// withSeed returns p carrying seed when p has no explicit seed of its own.
+func withSeed(p faults.Profile, seed uint64) faults.Profile {
+	if p.Seed == 0 {
+		p.Seed = seed
+	}
+	return p
 }
 
 // Workers bounds the part's worker pool, independent of the lab's
@@ -118,14 +127,6 @@ func (l *Lab) resolveFleet(cfg *fleet.Config, pc *partConfig) {
 	} else if cfg.Workers == 0 {
 		cfg.Workers = l.opts.workers
 	}
-	if pc.captureSet {
-		cfg.Capture = pc.capture
-	} else if cfg.Capture == experiment.CaptureDefault {
-		// Inherit an explicit WithCapture choice; a still-default policy
-		// resolves to CaptureNone in the fleet (aggregates only, frames
-		// streamed — never buffered).
-		cfg.Capture = l.opts.capture
-	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = l.opts.telemetry
 	}
@@ -181,9 +182,10 @@ func Adversary(n int, opts ...PartOption) RunPart {
 // Resilience re-runs the Table 2 grid under each impairment profile —
 // Impairments(...) to choose them, faults.Grid() (clean, lossy-wifi,
 // clamped-tunnel, flaky-dnsmasq) when none are given — building a fresh
-// isolated study per profile from the lab's options. Profiles without an
-// explicit seed inherit Seed(...) or WithSeed. Results land in Resil and
-// the ResilienceStudy artifact.
+// isolated study per profile over the lab's World (so an ablation lab's
+// grid runs its counterfactual population). Profiles without an explicit
+// seed inherit Seed(...) or WithSeed. Results land in Resil and the
+// ResilienceStudy artifact.
 func Resilience(opts ...PartOption) RunPart {
 	pc := applyParts(opts)
 	return func(l *Lab) error {
@@ -191,28 +193,15 @@ func Resilience(opts ...PartOption) RunPart {
 		if len(profiles) == 0 {
 			profiles = faults.Grid()
 		}
-		seed := l.opts.seed
-		if pc.seedSet {
-			seed = pc.seed
-		}
+		seed := pc.seedOr(l.opts.seed)
 		seeded := make([]faults.Profile, len(profiles))
 		for i, p := range profiles {
-			if p.Seed == 0 {
-				p.Seed = seed
-			}
-			seeded[i] = p
+			seeded[i] = withSeed(p, seed)
 		}
 		so := l.studyOptions()
 		if pc.workersSet {
 			so.Workers = pc.workers
 		}
-		if pc.captureSet {
-			so.Capture = pc.capture
-		}
-		// The grid reads stack and router aggregates, never frames: no
-		// observer, and (unless the capture options say otherwise) no
-		// capture.
-		so.Observe = nil
 		rep, err := experiment.RunResilienceContext(l.runCtx(), so, seeded...)
 		if err != nil {
 			return err
@@ -268,10 +257,13 @@ func Timeline(h Horizon, opts ...PartOption) RunPart {
 			cfg.Workers = l.opts.workers
 		}
 		if cfg.Impairments == nil {
+			p := l.opts.fault
 			if len(pc.impairments) > 0 {
-				cfg.Impairments = &pc.impairments[0]
-			} else if l.opts.fault != nil {
-				cfg.Impairments = l.opts.fault
+				p = &pc.impairments[0]
+			}
+			if p != nil {
+				fp := withSeed(*p, pc.seedOr(l.opts.seed))
+				cfg.Impairments = &fp
 			}
 		}
 		if cfg.Telemetry == nil {

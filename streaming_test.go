@@ -42,27 +42,3 @@ func TestStreamingEqualsBuffered(t *testing.T) {
 		}
 	}
 }
-
-// TestStreamingFleetEqualsBuffered pins the fleet's default streaming path
-// against a buffered fleet run: same seed, same homes, byte-identical
-// aggregate artifact, same per-home frame counts.
-func TestStreamingFleetEqualsBuffered(t *testing.T) {
-	run := func(p CapturePolicy) *Lab {
-		lab := New(WithWorkers(2))
-		if err := lab.Run(Fleet(8, Seed(1), Capture(p))); err != nil {
-			t.Fatal(err)
-		}
-		return lab
-	}
-	stream := run(CaptureNone)
-	full := run(CaptureFull)
-	a, b := stream.Report(FleetStudy), full.Report(FleetStudy)
-	if a != b {
-		t.Fatalf("fleet reports differ between CaptureNone and CaptureFull:\n--- streaming ---\n%s\n--- buffered ---\n%s", a, b)
-	}
-	for i, hr := range stream.FleetPop.Homes {
-		if want := full.FleetPop.Homes[i].FramesCaptured; hr.FramesCaptured != want {
-			t.Errorf("home %d: streamed %d frames, buffered %d", i, hr.FramesCaptured, want)
-		}
-	}
-}
