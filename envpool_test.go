@@ -52,7 +52,7 @@ func TestAblationKeepsPrivateWorld(t *testing.T) {
 		t.Fatal("ablation lab shares the Env world it mutates")
 	}
 	eui64 := false
-	for _, p := range plain.Study.Profiles {
+	for _, p := range plain.Study.World.Profiles {
 		if p.EUI64 {
 			eui64 = true
 			break

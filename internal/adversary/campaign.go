@@ -10,7 +10,6 @@ import (
 
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
-	"v6lab/internal/firewall"
 	"v6lab/internal/fleet"
 	"v6lab/internal/netsim"
 	"v6lab/internal/pool"
@@ -146,12 +145,9 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 	})
 	began := st.Clock.Now()
 
-	pol, err := firewall.ByName(spec.Policy)
+	policies, err := experiment.ResolvePolicies(st.World.Profiles, spec.Policy)
 	if err != nil {
 		return nil, err
-	}
-	if ph, ok := pol.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
-		pol = firewall.Pinhole{Rules: experiment.DefaultPinholes(st.Profiles)}
 	}
 
 	// The attacker shuffles probe order per home (scan-detection evasion);
@@ -180,7 +176,7 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 		wanFor[f.LAN] = f.WAN
 	}
 
-	te, err := st.RunTargetedExposure(ec, pol, targets)
+	te, err := st.RunTargetedExposure(ec, policies[0], targets)
 	if err != nil {
 		return nil, err
 	}

@@ -38,7 +38,7 @@ func observationsFor(st *experiment.Study, res *experiment.RunResult) *ExpObs {
 // scheduling.
 func FromStudy(st *experiment.Study) *Dataset {
 	ds := &Dataset{
-		Profiles:   st.Profiles,
+		Profiles:   st.World.Profiles,
 		ActiveAAAA: map[string]bool{},
 		Cloud:      st.Cloud,
 	}

@@ -5,21 +5,8 @@ import (
 	"time"
 
 	"v6lab/internal/dnsmsg"
-	"v6lab/internal/netsim"
 	"v6lab/internal/world"
 )
-
-// network returns the study's recycled switch, reset onto the study
-// clock. Reusing one switch across consecutive runs (the six Table 2
-// experiments, a fleet worker's homes) means it reaches a steady state
-// where delivering a full run's traffic allocates nothing. The reset
-// invalidates every frame the previous run's arena handed out — callers
-// retain only capture copies and value types, which is the Reset contract
-// that makes recycling safe.
-func (st *Study) network() *netsim.Network {
-	st.net.Reset(st.Clock)
-	return st.net
-}
 
 // EnvPool recycles isolated Table 2 run environments — device stacks,
 // switch, clock, cloud clone — across studies. Building one environment

@@ -182,17 +182,15 @@ type AAAAResult struct {
 // results, and active-measurement outputs.
 type Study struct {
 	// World is the immutable half of the study: population, plans, primed
-	// cloud registry, MAC index. Profiles/Plans/MACToDevice below alias it
-	// (kept as fields for the pre-World API).
+	// cloud registry, MAC index.
 	World *world.World
 
-	Profiles []*device.Profile
-	Plans    []*device.Plan
-	Stacks   []*device.Stack
-	Cloud    *cloud.Cloud
-	Clock    *netsim.Clock
+	Stacks []*device.Stack
+	Cloud  *cloud.Cloud
+	Clock  *netsim.Clock
 
-	// MACToDevice resolves capture frames back to device identities.
+	// MACToDevice resolves capture frames back to device identities; it
+	// aliases World.MACToDevice.
 	MACToDevice map[packet.MAC]*device.Profile
 
 	Results []*RunResult
@@ -317,9 +315,7 @@ func NewStudyWith(opts StudyOptions) *Study {
 	}
 	w := opts.World
 	st := &Study{
-		World:    w,
-		Profiles: w.Profiles,
-		Plans:    w.Plans,
+		World: w,
 		// Private query counters over the shared registry.
 		Cloud:           w.Cloud.Clone(),
 		Clock:           netsim.NewClock(start),
@@ -387,11 +383,6 @@ func (st *Study) RunAllContext(ctx context.Context) error {
 func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 	began := st.Clock.Now()
 	net := st.network()
-	if st.tm != nil {
-		net.SetMetrics(st.tm.net)
-	} else {
-		net.SetMetrics(nil)
-	}
 	// At most one analysis tap per run: the buffered capture (default) or
 	// the streaming observer — never both, so every frame is recorded or
 	// parsed for analysis exactly once. CaptureNone without an observer
@@ -410,56 +401,18 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 		net.AddTap(cap)
 	}
 
+	// Reboot, configure, announce, then the devices talk to their
+	// destinations. Each experiment's link faults are sub-seeded by its ID.
 	rt := router.New(cfg.Router, st.Cloud)
-	rt.Attach(net)
-	if st.Faults != nil {
-		// Per-experiment sub-seed: the six runs see different (but
-		// reproducible) frame fates from the same profile seed.
-		net.SetImpairment(faults.NewLink(*st.Faults, faults.SubSeed(st.Faults.Seed, cfg.ID)))
-		rt.Faults = faults.NewServices(*st.Faults, st.Clock)
-	}
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(cfg.Mode, cfg.V6Seq)
-	}
-
-	// Phase 1: reboot. The router advertises once (dnsmasq sends periodic
-	// RAs); devices solicit as they boot.
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	st.attach(net, cfg, rt, st.Faults, cfg.ID)
+	if err := st.boot(net, rt); err != nil {
 		return nil, err
 	}
-	if st.Faults != nil {
-		if err := st.retryRounds(net, (*device.Stack).RetryConfig); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 2: DAD completes; addresses are announced.
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	if err := st.workload(net, rt); err != nil {
 		return nil, err
 	}
 
-	// Phase 3: the devices talk to their destinations.
-	for _, s := range st.Stacks {
-		s.RunWorkload(st.Cloud)
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, err
-	}
-	if st.Faults != nil {
-		if err := st.retryRounds(net, (*device.Stack).RetryWorkload); err != nil {
-			return nil, err
-		}
-	}
-
-	// Phase 4: functionality test (§4.1).
+	// Functionality test (§4.1).
 	res := &RunResult{
 		Config:          cfg,
 		Capture:         cap,
@@ -517,38 +470,11 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 	return res, nil
 }
 
-// retryRounds models client retransmit timers under impairment: advance
-// the clock past a backoff interval, let every stack retransmit whatever
-// went unanswered, and drain the network; repeat until a round sends
-// nothing. The per-stack retry caps bound it, with 4 rounds (the ballpark
-// of RFC 4861's MAX_RTR_SOLICITATIONS) as a backstop.
-func (st *Study) retryRounds(net *netsim.Network, retry func(*device.Stack) int) error {
-	backoff := 4 * time.Second
-	for round := 0; round < 4; round++ {
-		st.Clock.Advance(backoff)
-		backoff *= 2
-		sent := 0
-		for _, s := range st.Stacks {
-			sent += retry(s)
-		}
-		if sent == 0 {
-			return nil
-		}
-		if st.tm != nil {
-			st.tm.retryRounds.Inc()
-		}
-		if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RunActiveDNS performs the §4.3 active measurement: AAAA queries for
 // every destination domain observed across the experiments. (The planner's
 // spec list is exactly the set of names the captures contain.)
 func (st *Study) RunActiveDNS() {
-	for _, pl := range st.Plans {
+	for _, pl := range st.World.Plans {
 		for _, sp := range pl.Specs {
 			if _, done := st.ActiveDNS[sp.Name]; done {
 				continue
@@ -586,5 +512,5 @@ func (st *Study) Result(id string) *RunResult {
 
 // DeviceByName finds a profile.
 func (st *Study) DeviceByName(name string) *device.Profile {
-	return device.Find(st.Profiles, name)
+	return device.Find(st.World.Profiles, name)
 }

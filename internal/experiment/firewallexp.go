@@ -85,34 +85,38 @@ func DefaultPinholes(profiles []*device.Profile) []firewall.Rule {
 	return rules
 }
 
-// DefaultFirewallPolicies returns the three policies the comparison mode
-// runs: the paper's open router, RFC 6092 stateful default-deny, and
-// default-deny with the testbed's default pinholes.
-func DefaultFirewallPolicies(profiles []*device.Profile) []firewall.Policy {
-	return []firewall.Policy{
-		firewall.Open{},
-		firewall.StatefulDefaultDeny{},
-		firewall.Pinhole{Rules: DefaultPinholes(profiles)},
+// ResolvePolicies resolves inbound-IPv6 firewall policy names ("open",
+// "stateful", "pinhole") for a population; with no names it resolves every
+// policy in firewall.PolicyNames, the comparison mode's three. A pinhole
+// gets DefaultPinholes(profiles): the holes the population's own v6-only
+// services would punch.
+func ResolvePolicies(profiles []*device.Profile, names ...string) ([]firewall.Policy, error) {
+	if len(names) == 0 {
+		names = firewall.PolicyNames
 	}
+	policies := make([]firewall.Policy, len(names))
+	for i, name := range names {
+		p, err := firewall.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		if _, ok := p.(firewall.Pinhole); ok {
+			p = firewall.Pinhole{Rules: DefaultPinholes(profiles)}
+		}
+		policies[i] = p
+	}
+	return policies, nil
 }
 
-// RunFirewallExposure re-runs the §5.4.2 port scan from a WAN vantage
+// RunFirewallExposureUnder re-runs the §5.4.2 port scan from a WAN vantage
 // under each policy: every probe must traverse the router's inbound
 // firewall instead of being switched on-LAN. Each policy gets a fresh
-// boot of the dual-stack network, a full workload pass (so conntrack
-// holds the devices' outbound flows), then a SYN sweep of every routable
-// GUA the router's neighbor table knows.
-func (st *Study) RunFirewallExposure(policies []firewall.Policy) (*FirewallReport, error) {
-	// Dual-stack (stateful), as in RunPortScan: everything live.
-	return st.RunFirewallExposureUnder(Configs[len(Configs)-1], policies)
-}
-
-// RunFirewallExposureUnder is RunFirewallExposure with an explicit
-// connectivity configuration: the fleet simulator scans each home under
-// the home's own (v6-enabled) Table 2 config rather than always booting
-// dual-stack stateful.
+// boot of the network under cfg (the lab scans dual-stack stateful, the
+// fleet each home's own v6-enabled config), a full workload pass (so
+// conntrack holds the devices' outbound flows), then a SYN sweep of every
+// routable GUA the router's neighbor table knows.
 func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy) (*FirewallReport, error) {
-	ports := probePorts(st.Profiles)
+	ports := probePorts(st.World.Profiles)
 	rep := &FirewallReport{Ports: ports}
 	for _, pol := range policies {
 		began := st.Clock.Now()
@@ -137,43 +141,20 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 	return rep, nil
 }
 
-// bootFirewalled resets the study's switch around its stacks
-// with pol installed on the router's inbound-IPv6 path, then runs the
-// full boot + announce + workload sequence so conntrack holds the
+// bootFirewalled brings the home up under cfg with pol installed on the
+// router's inbound-IPv6 path and runs the workload, so conntrack holds the
 // devices' outbound flows — the state every WAN-vantage scan must
-// traverse.
+// traverse. Scans boot on a clean network, even in a faulted study.
 func (st *Study) bootFirewalled(cfg Config, pol firewall.Policy) (*netsim.Network, *router.Router, *firewall.Firewall, error) {
 	net := st.network()
-	if st.tm != nil {
-		net.SetMetrics(st.tm.net)
-	} else {
-		net.SetMetrics(nil)
-	}
 	rt := router.New(cfg.Router, st.Cloud)
 	fw := firewall.New(pol, st.Clock, conntrack.DefaultConfig())
 	rt.SetFirewall(fw)
-	rt.Attach(net)
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(cfg.Mode, cfg.V6Seq)
-	}
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	st.attach(net, cfg, rt, nil, "")
+	if err := st.boot(net, rt); err != nil {
 		return nil, nil, nil, err
 	}
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, nil, nil, err
-	}
-	for _, s := range st.Stacks {
-		s.RunWorkload(st.Cloud)
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	if err := st.workload(net, rt); err != nil {
 		return nil, nil, nil, err
 	}
 	return net, rt, fw, nil

@@ -11,7 +11,11 @@ import (
 func exposureFixture(t *testing.T) (*Study, *FirewallReport, *ScanReport) {
 	t.Helper()
 	st := NewStudy()
-	rep, err := st.RunFirewallExposure(DefaultFirewallPolicies(st.Profiles))
+	policies, err := ResolvePolicies(st.World.Profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := st.RunFirewallExposureUnder(Configs[len(Configs)-1], policies)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +98,14 @@ func TestFirewallExposurePolicies(t *testing.T) {
 	}
 
 	// Determinism anchor: the probe list must match the LAN scan's.
-	if len(rep.Ports) != len(probePorts(st.Profiles)) {
+	if len(rep.Ports) != len(probePorts(st.World.Profiles)) {
 		t.Fatalf("probe list drifted: %d ports", len(rep.Ports))
 	}
 }
 
 func TestDefaultPinholes(t *testing.T) {
 	st := NewStudy()
-	rules := DefaultPinholes(st.Profiles)
+	rules := DefaultPinholes(st.World.Profiles)
 	if len(rules) != 3 {
 		t.Fatalf("rules = %v, want the fridge's three v6-only ports", rules)
 	}

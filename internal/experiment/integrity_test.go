@@ -177,7 +177,7 @@ func TestEufySkipsV6InDualStack(t *testing.T) {
 // the whole destination universe.
 func TestActiveDNSCoversAllDomains(t *testing.T) {
 	st := fullStudy(t)
-	for _, pl := range st.Plans {
+	for _, pl := range st.World.Plans {
 		for _, sp := range pl.Specs {
 			if _, ok := st.ActiveDNS[sp.Name]; !ok {
 				t.Fatalf("active DNS missing %s", sp.Name)

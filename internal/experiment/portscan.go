@@ -56,31 +56,11 @@ func probePorts(profiles []*device.Profile) []uint16 {
 // neighbor table exactly as §4.3 describes.
 func (st *Study) RunPortScan() (*ScanReport, error) {
 	net := st.network()
-	if st.tm != nil {
-		net.SetMetrics(st.tm.net)
-	} else {
-		net.SetMetrics(nil)
-	}
 	cfg := Configs[len(Configs)-1] // dual-stack (stateful): everything live
 	rt := router.New(cfg.Router, st.Cloud)
-	rt.Attach(net)
 	sc := scan.New()
-	sc.Attach(net)
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(cfg.Mode, cfg.V6Seq)
-	}
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
-		return nil, err
-	}
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if _, err := net.Run(st.MaxFramesPerRun); err != nil {
+	st.attach(net, cfg, rt, nil, "", sc)
+	if err := st.boot(net, rt); err != nil {
 		return nil, err
 	}
 
@@ -99,7 +79,7 @@ func (st *Study) RunPortScan() (*ScanReport, error) {
 		v6ByMAC[m.String()] = append(v6ByMAC[m.String()], a)
 	}
 
-	ports := probePorts(st.Profiles)
+	ports := probePorts(st.World.Profiles)
 	report := &ScanReport{}
 	for _, s := range st.Stacks {
 		ds := DeviceScan{Device: s.Prof.Name}

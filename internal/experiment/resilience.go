@@ -119,7 +119,7 @@ func runResilienceProfile(ctx context.Context, opts StudyOptions, p faults.Profi
 	for _, res := range st.Results {
 		rc := ResilienceConfig{
 			ID:              res.Config.ID,
-			Devices:         len(st.Profiles),
+			Devices:         len(st.World.Profiles),
 			Failures:        map[string]int{},
 			FramesDelivered: res.FramesDelivered,
 			FramesDropped:   res.FramesDropped,
@@ -127,7 +127,7 @@ func runResilienceProfile(ctx context.Context, opts StudyOptions, p faults.Profi
 			PTBSent:         res.PTBSent,
 			ServiceDrops:    res.ServiceDrops,
 		}
-		for _, prof := range st.Profiles {
+		for _, prof := range st.World.Profiles {
 			if stage, failed := res.FailureStages[prof.Name]; failed {
 				rc.Failures[stage]++
 				rc.FailedDevices = append(rc.FailedDevices, prof.Name)
@@ -143,7 +143,7 @@ func runResilienceProfile(ctx context.Context, opts StudyOptions, p faults.Profi
 	telemetry.Emit(st.Progress, telemetry.Event{
 		Scope:   "resilience",
 		ID:      p.Name,
-		Detail:  fmt.Sprintf("%d/%d device-runs functional", po.FunctionalTotal, len(st.Profiles)*len(Configs)),
+		Detail:  fmt.Sprintf("%d/%d device-runs functional", po.FunctionalTotal, len(st.World.Profiles)*len(Configs)),
 		Elapsed: st.Clock.Now().Sub(began),
 	})
 	return po, nil

@@ -20,7 +20,6 @@ import (
 	"v6lab/internal/analysis"
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
-	"v6lab/internal/firewall"
 	"v6lab/internal/netsim"
 	"v6lab/internal/pool"
 	"v6lab/internal/telemetry"
@@ -333,7 +332,7 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, net *netsim.Netwo
 	hr := &HomeResult{Spec: spec, Devices: len(profiles), FramesCaptured: res.Frames()}
 	obs := ds.Exps[0]
 	overV6 := true
-	for _, p := range st.Profiles {
+	for _, p := range st.World.Profiles {
 		if res.Functional[p.Name] {
 			hr.Functional++
 		}
@@ -366,14 +365,11 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, net *netsim.Netwo
 	hr.EUI64Use = eui.Use
 
 	if ec.Router.IPv6 && !cfg.SkipExposure {
-		pol, err := firewall.ByName(spec.Policy)
+		policies, err := experiment.ResolvePolicies(st.World.Profiles, spec.Policy)
 		if err != nil {
 			return nil, err
 		}
-		if ph, ok := pol.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
-			pol = firewall.Pinhole{Rules: experiment.DefaultPinholes(st.Profiles)}
-		}
-		rep, err := st.RunFirewallExposureUnder(ec, []firewall.Policy{pol})
+		rep, err := st.RunFirewallExposureUnder(ec, policies)
 		if err != nil {
 			return nil, err
 		}

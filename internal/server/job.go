@@ -139,18 +139,13 @@ func runSpec(ctx context.Context, spec JobSpec, sink telemetry.Sink) (*Result, e
 	if spec.Workers > 0 {
 		opts = append(opts, v6lab.WithWorkers(spec.Workers))
 	}
-	if spec.Kind == KindStudy || spec.Kind == KindFirewall {
-		opts = append(opts, v6lab.WithCapture(v6lab.CaptureFull))
-	}
 	lab := v6lab.New(opts...)
 
 	var parts []v6lab.RunPart
 	switch spec.Kind {
 	// Study and firewall jobs serve per-experiment pcap artifacts from the
-	// buffered captures, so they pin CaptureFull explicitly (it is also
-	// the lab default; the pin documents the dependency). Fleet,
-	// resilience, adversary, and timeline jobs render aggregates only, and
-	// their parts always stream.
+	// lab's default buffered captures. Fleet, resilience, adversary, and
+	// timeline jobs render aggregates only, and their parts always stream.
 	case KindStudy:
 		parts = []v6lab.RunPart{v6lab.Connectivity()}
 	case KindFirewall:

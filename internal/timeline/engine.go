@@ -7,7 +7,6 @@ import (
 
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
-	"v6lab/internal/faults"
 	"v6lab/internal/fleet"
 	"v6lab/internal/netsim"
 	"v6lab/internal/pool"
@@ -150,29 +149,21 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, net *netsim
 	}
 	w := world.Build(profiles)
 	st := experiment.NewStudyWith(experiment.StudyOptions{
-		World:     w,
-		Capture:   experiment.CaptureNone,
-		Telemetry: cfg.Telemetry,
-		Network:   net,
+		World:           w,
+		Network:         net,
+		MaxFramesPerRun: cfg.MaxFramesPerDrain,
+		Faults:          cfg.Impairments,
+		Capture:         experiment.CaptureNone,
+		Telemetry:       cfg.Telemetry,
 	})
-	// The timeline drives its own delivery loop over the worker's recycled
-	// switch; the study contributes world, stacks, cloud clone, and clock.
-	net.Reset(st.Clock)
+	// The horizon (and its day buckets) starts before the boot, so a
+	// faulted boot's retry backoff counts against the first day.
+	start := st.Clock.Now()
 	rt := router.New(ec.Router, st.Cloud)
-	rt.Attach(net)
-	var fp *faults.Profile
-	if cfg.Impairments != nil && cfg.Impairments.Active() {
-		p := *cfg.Impairments
-		if p.Seed == 0 {
-			p.Seed = 1
-		}
-		fp = &p
-		net.SetImpairment(faults.NewLink(p, faults.SubSeed(p.Seed, fmt.Sprintf("timeline-home-%d", spec.Index))))
-		rt.Faults = faults.NewServices(p, st.Clock)
-	}
-	for _, s := range st.Stacks {
-		s.Attach(net)
-		s.Reset(ec.Mode, ec.V6Seq)
+	// Boot: the same lifecycle a single experiment runs; then the event
+	// loop takes over the worker's recycled switch.
+	if err := st.Boot(ec, rt, fmt.Sprintf("timeline-home-%d", spec.Index)); err != nil {
+		return nil, err
 	}
 
 	e := &homeEngine{
@@ -181,7 +172,7 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, net *netsim
 		st:      st,
 		net:     net,
 		rt:      rt,
-		start:   st.Clock.Now(),
+		start:   start,
 		res:     &HomeTimeline{Spec: spec},
 		asleep:  make([]bool, len(st.Stacks)),
 		sleptAt: make([]time.Time, len(st.Stacks)),
@@ -192,27 +183,6 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, net *netsim
 	days := int((cfg.Horizon + 24*time.Hour - 1) / (24 * time.Hour))
 	e.res.Days = make([]DayStat, days)
 
-	// Boot: the same three phases a single experiment runs, then the event
-	// loop takes over.
-	rt.SendRouterAdvert()
-	for _, s := range st.Stacks {
-		s.Boot()
-	}
-	if err := e.drain(); err != nil {
-		return nil, err
-	}
-	if fp != nil {
-		if err := e.retryRounds(); err != nil {
-			return nil, err
-		}
-	}
-	for _, s := range st.Stacks {
-		s.Announce()
-	}
-	if err := e.drain(); err != nil {
-		return nil, err
-	}
-
 	e.schedule()
 	if err := e.loop(); err != nil {
 		return nil, err
@@ -220,27 +190,6 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, net *netsim
 	e.res.FramesDelivered = net.Delivered()
 	st.FoldCloudMetrics()
 	return e.res, nil
-}
-
-// retryRounds mirrors the study engine's configuration-retry loop for
-// faulted boots: back off, let every stack retransmit, drain, repeat.
-func (e *homeEngine) retryRounds() error {
-	backoff := 4 * time.Second
-	for round := 0; round < 4; round++ {
-		e.st.Clock.Advance(backoff)
-		backoff *= 2
-		sent := 0
-		for _, s := range e.st.Stacks {
-			sent += s.RetryConfig()
-		}
-		if sent == 0 {
-			return nil
-		}
-		if err := e.drain(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // schedule seeds the event queue: everything below is derived from

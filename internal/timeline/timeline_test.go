@@ -3,6 +3,8 @@ package timeline
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -165,5 +167,45 @@ func TestTimelineRejectsNonPositiveHorizon(t *testing.T) {
 		if _, err := Run(Config{Horizon: h, Homes: 1}); err == nil {
 			t.Fatalf("horizon %v accepted", h)
 		}
+	}
+}
+
+// lossyTimelineHash pins a lossy-wifi timeline's per-home results: the
+// faulted boot (link and service faults, configuration retries) and the
+// event loop on top of it.
+const lossyTimelineHash = "1086085a2ed6427e7b7facb2aa2d5034ececf989c1c94fc55e9d01f8eb20fe1b"
+
+func TestTimelineLossyWiFiHash(t *testing.T) {
+	prof := faults.LossyWiFi()
+	r, err := Run(Config{Horizon: 48 * time.Hour, Homes: 4, Workers: 2, Seed: 3, Impairments: &prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(encodeHomes(t, r))
+	if got := hex.EncodeToString(sum[:]); got != lossyTimelineHash {
+		t.Fatalf("lossy-wifi timeline sha256 = %s, recorded %s", got, lossyTimelineHash)
+	}
+}
+
+// TestTimelineTelemetryCountsFrames: a timeline's homes boot through the
+// study lifecycle, so the switch counts into the registry and faulted
+// boots count their retry rounds — the snapshot agrees with the report.
+func TestTimelineTelemetryCountsFrames(t *testing.T) {
+	prof := faults.LossyWiFi()
+	reg := telemetry.NewRegistry()
+	r, err := Run(Config{Horizon: 24 * time.Hour, Homes: 4, Workers: 2, Seed: 3, Impairments: &prof, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	for _, h := range r.Homes {
+		delivered += h.FramesDelivered
+	}
+	switched := reg.Counter("netsim", "frames_switched_total", "").Value()
+	if switched != uint64(delivered) {
+		t.Errorf("netsim_frames_switched_total = %d, homes delivered %d frames", switched, delivered)
+	}
+	if reg.Counter("device", "retry_rounds_total", "").Value() == 0 {
+		t.Error("device_retry_rounds_total = 0 under lossy-wifi")
 	}
 }

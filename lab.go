@@ -30,7 +30,6 @@ import (
 	"v6lab/internal/device"
 	"v6lab/internal/experiment"
 	"v6lab/internal/faults"
-	"v6lab/internal/firewall"
 	"v6lab/internal/fleet"
 	"v6lab/internal/report"
 	"v6lab/internal/telemetry"
@@ -373,22 +372,12 @@ func Connectivity() RunPart {
 // Fridge's). Results land in FirewallCmp and the Firewall artifact.
 func FirewallComparison(policyNames ...string) RunPart {
 	return func(l *Lab) error {
-		var policies []firewall.Policy
-		if len(policyNames) == 0 {
-			policies = experiment.DefaultFirewallPolicies(l.Study.Profiles)
-		} else {
-			for _, name := range policyNames {
-				p, err := firewall.ByName(name)
-				if err != nil {
-					return err
-				}
-				if ph, ok := p.(firewall.Pinhole); ok && len(ph.Rules) == 0 {
-					p = firewall.Pinhole{Rules: experiment.DefaultPinholes(l.Study.Profiles)}
-				}
-				policies = append(policies, p)
-			}
+		policies, err := experiment.ResolvePolicies(l.Study.World.Profiles, policyNames...)
+		if err != nil {
+			return err
 		}
-		rep, err := l.Study.RunFirewallExposure(policies)
+		// Dual-stack (stateful), as in the port scan: everything live.
+		rep, err := l.Study.RunFirewallExposureUnder(experiment.Configs[len(experiment.Configs)-1], policies)
 		if err != nil {
 			return err
 		}

@@ -11,7 +11,7 @@ import (
 
 func TestZeroOptionNewMatchesFullRegistry(t *testing.T) {
 	lab := New()
-	if got, want := len(lab.Study.Profiles), len(device.Registry()); got != want {
+	if got, want := len(lab.Study.World.Profiles), len(device.Registry()); got != want {
 		t.Errorf("zero-option lab has %d devices, want the full registry (%d)", got, want)
 	}
 	if lab.Study.MaxFramesPerRun != 3_000_000 {
@@ -22,11 +22,11 @@ func TestZeroOptionNewMatchesFullRegistry(t *testing.T) {
 func TestWithDevicesRestrictsAndOrders(t *testing.T) {
 	// Names given out of registry order; the testbed keeps registry order.
 	lab := New(WithDevices("Wyze Cam", "Apple TV"))
-	if len(lab.Study.Profiles) != 2 {
-		t.Fatalf("got %d devices, want 2", len(lab.Study.Profiles))
+	if len(lab.Study.World.Profiles) != 2 {
+		t.Fatalf("got %d devices, want 2", len(lab.Study.World.Profiles))
 	}
 	var names []string
-	for _, p := range lab.Study.Profiles {
+	for _, p := range lab.Study.World.Profiles {
 		names = append(names, p.Name)
 	}
 	idx := map[string]int{}

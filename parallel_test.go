@@ -133,3 +133,35 @@ func TestFaultedStudyWorkerInvariance(t *testing.T) {
 		t.Errorf("telemetry snapshots differ between 1 and 6 workers:\n--- 1 worker ---\n%s\n--- 6 workers ---\n%s", oneJSON, sixJSON)
 	}
 }
+
+// faultedFirewallHashes pin a lossy-wifi lab that runs the study and then
+// the WAN firewall comparison: the FullReport (which carries the
+// comparison) and all six pcaps. The comparison's scans boot on a clean
+// network even in a faulted lab, so any change to how a home comes up —
+// faulted Table 2 runs or clean scan boots — shows up here.
+var faultedFirewallHashes = map[string]string{
+	"fullreport":          "e69e325087fe7779f0dfd8f103e8d45f9c5a88aff6f7f2033e875d05913075b4",
+	"ipv4-only":           "0607b9c6b39f6e357be753f0348e7efc02f80b9797435ba86b09cbb606403ea0",
+	"ipv6-only":           "50cf7a09fcf6a056249216507396578c7e13969b8a467b1712bd94e8482e993f",
+	"ipv6-only-rdnss":     "b75846d4105a6e0d5d2077981581f2f6a9045929df82d5c65d8b4dba44a5cfe1",
+	"ipv6-only-stateful":  "20895edca728a1304b150c097b5cf89e30d44361499ffe7f708317f4ba84723f",
+	"dual-stack":          "de1a3dc5c10ae0a4a831ac308e784070897cbc01b02c18bf7083cf7d63c6cedc",
+	"dual-stack-stateful": "b9aecb39b222ae7ffb7146388c1809f962ef99e98e469785b34d9ce0389163e3",
+}
+
+func TestLossyWiFiFirewallLabHashes(t *testing.T) {
+	lab := New(WithFaultProfile(faults.LossyWiFi()),
+		WithDevices("Samsung Fridge", "Wyze Cam", "Apple TV", "Google Home Mini", "TiVo Stream", "Behmor Brewer"))
+	if err := lab.Run(Connectivity(), FirewallComparison()); err != nil {
+		t.Fatal(err)
+	}
+	got := labHashes(t, lab)
+	if len(got) != len(faultedFirewallHashes) {
+		t.Errorf("lab produced %d outputs, want %d", len(got), len(faultedFirewallHashes))
+	}
+	for key, want := range faultedFirewallHashes {
+		if got[key] != want {
+			t.Errorf("%s = %s, recorded %s", key, got[key], want)
+		}
+	}
+}
