@@ -86,6 +86,25 @@ func BenchmarkStudyParallel(b *testing.B) {
 	}
 }
 
+var reportSink string
+
+// BenchmarkFullReportCold measures deriving and rendering every artifact
+// from finished observations: each iteration gets a fresh Dataset, so the
+// per-subset union views are built inside the timed loop. The
+// per-artifact benchmarks below reuse the shared lab's Dataset and so
+// time warm views only.
+func BenchmarkFullReportCold(b *testing.B) {
+	lab := benchSetup(b)
+	warm := lab.Data
+	defer func() { lab.Data = warm }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lab.Data = coldDataset(warm)
+		reportSink = lab.FullReport()
+	}
+}
+
 func BenchmarkTable3_IPv6OnlyFunnel(b *testing.B)   { benchArtifact(b, Table3) }
 func BenchmarkFigure2_Rings(b *testing.B)           { benchArtifact(b, Figure2) }
 func BenchmarkTable4_DualStackDelta(b *testing.B)   { benchArtifact(b, Table4) }

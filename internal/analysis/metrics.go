@@ -2,11 +2,13 @@ package analysis
 
 import (
 	"sort"
+	"sync"
 
 	"v6lab/internal/addr"
 	"v6lab/internal/cloud"
 	"v6lab/internal/device"
 	"v6lab/internal/dnsmsg"
+	"v6lab/internal/packet"
 	"v6lab/internal/paper"
 )
 
@@ -23,14 +25,114 @@ type Dataset struct {
 	ActiveAAAA map[string]bool
 	// Cloud supplies party labels for destination classification.
 	Cloud *cloud.Cloud
+
+	// views holds one union view per run subset, each built on first use
+	// and never changed afterwards.
+	views [numSubsets]struct {
+		once sync.Once
+		devs map[string]*DeviceObs
+	}
 }
 
-func (ds *Dataset) profile(name string) *device.Profile {
-	return device.Find(ds.Profiles, name)
+// subset names a fixed set of the Table 2 runs a table folds over (§5).
+type subset int
+
+const (
+	subsetV4Only subset = iota // the IPv4-only baseline
+	subsetV6Only               // the three IPv6-only runs
+	subsetDual                 // the two dual-stack runs
+	subsetV6                   // every v6-enabled run
+	subsetAll                  // all six runs
+	numSubsets
+)
+
+// includes reports whether a run of the given mode belongs to the subset.
+func (s subset) includes(m device.Mode) bool {
+	switch s {
+	case subsetV4Only:
+		return m == device.ModeV4Only
+	case subsetV6Only:
+		return m == device.ModeV6Only
+	case subsetDual:
+		return m == device.ModeDual
+	case subsetV6:
+		return m != device.ModeV4Only
+	}
+	return true
 }
 
-func (ds *Dataset) catIndex(name string) int {
-	p := ds.profile(name)
+// union returns each profiled device's observations merged, in run order,
+// across the subset's runs. A device no run observed gets an empty record,
+// so the view has no nil entries. The view is built once, on first use,
+// and is shared: callers must not modify it.
+func (ds *Dataset) union(s subset) map[string]*DeviceObs {
+	v := &ds.views[s]
+	v.once.Do(func() {
+		v.devs = make(map[string]*DeviceObs, len(ds.Profiles))
+		for _, p := range ds.Profiles {
+			var u *DeviceObs
+			for _, e := range ds.Exps {
+				d, ok := e.Devices[p.Name]
+				if !ok || !s.includes(e.Mode) {
+					continue
+				}
+				if u == nil {
+					u = newDeviceObs(p, d.MAC)
+				}
+				u.merge(d)
+			}
+			if u == nil {
+				u = newDeviceObs(p, packet.MAC{})
+			}
+			v.devs[p.Name] = u
+		}
+	})
+	return v.devs
+}
+
+// merge folds one run's observations of the device into o.
+func (o *DeviceObs) merge(d *DeviceObs) {
+	o.NDP = o.NDP || d.NDP
+	for a, k := range d.Assigned {
+		o.Assigned[a] = k
+	}
+	for a := range d.Used {
+		o.Used[a] = true
+	}
+	for a := range d.DADProbed {
+		o.DADProbed[a] = true
+	}
+	if d.StatefulLease.IsValid() {
+		o.StatefulLease = d.StatefulLease
+	}
+	o.StatelessDHCPv6 = o.StatelessDHCPv6 || d.StatelessDHCPv6
+	o.StatefulDHCPv6 = o.StatefulDHCPv6 || d.StatefulDHCPv6
+	for k := range d.Queries {
+		o.Queries[k] = true
+	}
+	for k := range d.Responses {
+		o.Responses[k] = true
+	}
+	for k := range d.InternetFlows {
+		o.InternetFlows[k] = true
+	}
+	o.LocalV6Data = o.LocalV6Data || d.LocalV6Data
+	o.InternetV6 = o.InternetV6 || d.InternetV6
+	o.InternetV4 = o.InternetV4 || d.InternetV4
+	o.BytesV4 += d.BytesV4
+	o.BytesV6 += d.BytesV6
+	o.EUI64DNS = o.EUI64DNS || d.EUI64DNS
+	o.EUI64Data = o.EUI64Data || d.EUI64Data
+	o.EUI64GUAUsed = o.EUI64GUAUsed || d.EUI64GUAUsed
+	for n := range d.EUI64DNSNames {
+		o.EUI64DNSNames[n] = true
+	}
+	for n := range d.EUI64DataDomains {
+		o.EUI64DataDomains[n] = true
+	}
+}
+
+func catIndex(p *device.Profile) int {
 	for i, c := range paper.CategoryOrder {
 		if string(p.Category) == c {
 			return i
@@ -39,120 +141,25 @@ func (ds *Dataset) catIndex(name string) int {
 	return -1
 }
 
-// expsWhere selects experiments by predicate.
-func (ds *Dataset) expsWhere(pred func(*ExpObs) bool) []*ExpObs {
-	var out []*ExpObs
+// BaselineV6Only returns the first IPv6-only run (the functionality
+// reference).
+func (ds *Dataset) BaselineV6Only() *ExpObs {
 	for _, e := range ds.Exps {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// V6OnlyExps returns the three IPv6-only runs.
-func (ds *Dataset) V6OnlyExps() []*ExpObs {
-	return ds.expsWhere(func(e *ExpObs) bool { return e.Mode == device.ModeV6Only })
-}
-
-// DualExps returns the two dual-stack runs.
-func (ds *Dataset) DualExps() []*ExpObs {
-	return ds.expsWhere(func(e *ExpObs) bool { return e.Mode == device.ModeDual })
-}
-
-// V6Exps returns every v6-enabled run.
-func (ds *Dataset) V6Exps() []*ExpObs {
-	return ds.expsWhere(func(e *ExpObs) bool { return e.Mode != device.ModeV4Only })
-}
-
-// V4OnlyExp returns the IPv4-only baseline.
-func (ds *Dataset) V4OnlyExp() *ExpObs {
-	for _, e := range ds.Exps {
-		if e.Mode == device.ModeV4Only {
+		if e.Mode == device.ModeV6Only {
 			return e
 		}
 	}
 	return nil
 }
 
-// BaselineV6Only returns the first IPv6-only run (the functionality
-// reference).
-func (ds *Dataset) BaselineV6Only() *ExpObs {
-	v6 := ds.V6OnlyExps()
-	if len(v6) == 0 {
-		return nil
-	}
-	return v6[0]
-}
-
-// merged unions a device's observations across experiments.
-func merged(exps []*ExpObs, name string) *DeviceObs {
-	var out *DeviceObs
-	for _, e := range exps {
-		d, ok := e.Devices[name]
-		if !ok {
-			continue
-		}
-		if out == nil {
-			out = newDeviceObs(&device.Profile{Name: d.Name, Category: d.Category}, d.MAC)
-		}
-		out.NDP = out.NDP || d.NDP
-		for a, k := range d.Assigned {
-			out.Assigned[a] = k
-		}
-		for a := range d.Used {
-			out.Used[a] = true
-		}
-		for a := range d.DADProbed {
-			out.DADProbed[a] = true
-		}
-		if d.StatefulLease.IsValid() {
-			out.StatefulLease = d.StatefulLease
-		}
-		out.StatelessDHCPv6 = out.StatelessDHCPv6 || d.StatelessDHCPv6
-		out.StatefulDHCPv6 = out.StatefulDHCPv6 || d.StatefulDHCPv6
-		for k := range d.Queries {
-			out.Queries[k] = true
-		}
-		for k := range d.Responses {
-			out.Responses[k] = true
-		}
-		for k := range d.InternetFlows {
-			out.InternetFlows[k] = true
-		}
-		out.LocalV6Data = out.LocalV6Data || d.LocalV6Data
-		out.InternetV6 = out.InternetV6 || d.InternetV6
-		out.InternetV4 = out.InternetV4 || d.InternetV4
-		out.BytesV4 += d.BytesV4
-		out.BytesV6 += d.BytesV6
-		out.EUI64DNS = out.EUI64DNS || d.EUI64DNS
-		out.EUI64Data = out.EUI64Data || d.EUI64Data
-		out.EUI64GUAUsed = out.EUI64GUAUsed || d.EUI64GUAUsed
-		for n := range d.EUI64DNSNames {
-			out.EUI64DNSNames[n] = true
-		}
-		for n := range d.EUI64DataDomains {
-			out.EUI64DataDomains[n] = true
-		}
-	}
-	return out
-}
-
-// Merged unions a device's observations across the given experiments,
-// for report-level consumers.
-func Merged(exps []*ExpObs, name string) *DeviceObs { return merged(exps, name) }
-
-// vecOver counts devices satisfying pred per category, over the merged
-// observations of the given experiments.
-func (ds *Dataset) vecOver(exps []*ExpObs, pred func(*DeviceObs) bool) paper.Vec {
+// vecOver counts devices satisfying pred per category, over the subset's
+// union view.
+func (ds *Dataset) vecOver(s subset, pred func(*DeviceObs) bool) paper.Vec {
 	var v paper.Vec
+	view := ds.union(s)
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			d = newDeviceObs(p, [6]byte{})
-		}
-		if pred(d) {
-			v[ds.catIndex(p.Name)]++
+		if pred(view[p.Name]) {
+			v[catIndex(p)]++
 		}
 	}
 	return v
@@ -166,23 +173,24 @@ type Funnel struct {
 	DNSAAAAReq, AAAAResp, DNSNoData, InternetData, DataNotFunc, Functional paper.Vec
 }
 
-// Table3 computes the IPv6-only funnel from the three v6-only runs.
+// Table3 computes the IPv6-only funnel from the three v6-only runs, over
+// the devices of the world that ran.
 func (ds *Dataset) Table3() Funnel {
-	exps := ds.V6OnlyExps()
+	view := ds.union(subsetV6Only)
 	base := ds.BaselineV6Only()
 	yes := true
 	var f Funnel
-	f.Devices = paper.DevicesPerCategory
-	f.NDP = ds.vecOver(exps, func(d *DeviceObs) bool { return d.NDP })
-	f.Addr = ds.vecOver(exps, func(d *DeviceObs) bool { return len(d.Assigned) > 0 })
-	f.GUA = ds.vecOver(exps, func(d *DeviceObs) bool { return d.HasAddr(addr.KindGUA) })
-	f.DNSAAAAReq = ds.vecOver(exps, func(d *DeviceObs) bool { return d.QueriedAAAA(&yes) })
-	f.AAAAResp = ds.vecOver(exps, func(d *DeviceObs) bool { return d.GotAAAAResponse(&yes) })
-	f.InternetData = ds.vecOver(exps, func(d *DeviceObs) bool { return d.InternetV6 })
+	f.NDP = ds.vecOver(subsetV6Only, func(d *DeviceObs) bool { return d.NDP })
+	f.Addr = ds.vecOver(subsetV6Only, func(d *DeviceObs) bool { return len(d.Assigned) > 0 })
+	f.GUA = ds.vecOver(subsetV6Only, func(d *DeviceObs) bool { return d.HasAddr(addr.KindGUA) })
+	f.DNSAAAAReq = ds.vecOver(subsetV6Only, func(d *DeviceObs) bool { return d.QueriedAAAA(&yes) })
+	f.AAAAResp = ds.vecOver(subsetV6Only, func(d *DeviceObs) bool { return d.GotAAAAResponse(&yes) })
+	f.InternetData = ds.vecOver(subsetV6Only, func(d *DeviceObs) bool { return d.InternetV6 })
 	for _, p := range ds.Profiles {
-		ci := ds.catIndex(p.Name)
-		d := merged(exps, p.Name)
-		if d == nil || !d.NDP {
+		ci := catIndex(p)
+		f.Devices[ci]++
+		d := view[p.Name]
+		if !d.NDP {
 			f.NoIPv6[ci]++
 			continue
 		}
@@ -212,10 +220,9 @@ type Delta struct {
 
 // Table4 compares the dual-stack runs against the IPv6-only runs.
 func (ds *Dataset) Table4() Delta {
-	v6, dual := ds.V6OnlyExps(), ds.DualExps()
 	diff := func(pred func(*DeviceObs) bool) paper.Vec {
-		a := ds.vecOver(dual, pred)
-		b := ds.vecOver(v6, pred)
+		a := ds.vecOver(subsetDual, pred)
+		b := ds.vecOver(subsetV6Only, pred)
 		var out paper.Vec
 		for i := range out {
 			out[i] = a[i] - b[i]
@@ -243,8 +250,8 @@ type Features struct {
 	V6Trans, InternetTrans, LocalTrans paper.Vec
 }
 
-// featurePreds lists the Table 5 rows as named predicates over the merged
-// v6-enabled observations (also reused by the Table 8/12 groupings).
+// featurePreds lists the Table 5 rows as named predicates over the union
+// of the v6-enabled runs (also reused by the Table 8/12 groupings).
 func featurePreds() []struct {
 	Name string
 	Pred func(*DeviceObs) bool
@@ -275,7 +282,6 @@ func featurePreds() []struct {
 
 // Table5 computes union feature support per category.
 func (ds *Dataset) Table5() Features {
-	exps := ds.V6Exps()
 	var f Features
 	rows := featurePreds()
 	dst := []*paper.Vec{
@@ -284,7 +290,7 @@ func (ds *Dataset) Table5() Features {
 		&f.AAAAReqNoRes, &f.StatelessDHCPv6, &f.V6Trans, &f.InternetTrans, &f.LocalTrans,
 	}
 	for i, row := range rows {
-		*dst[i] = ds.vecOver(exps, row.Pred)
+		*dst[i] = ds.vecOver(subsetV6, row.Pred)
 	}
 	return f
 }
@@ -340,13 +346,11 @@ type Inventory struct {
 // fractions over the dual-stack runs.
 func (ds *Dataset) Table6() Inventory {
 	var inv Inventory
-	exps := ds.V6Exps()
+	v6, dual := ds.union(subsetV6), ds.union(subsetDual)
+	var v6Bytes, allBytes [paper.NumCategories]float64
 	for _, p := range ds.Profiles {
-		ci := ds.catIndex(p.Name)
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		ci := catIndex(p)
+		d := v6[p.Name]
 		for a, k := range d.Assigned {
 			if a == d.StatefulLease {
 				continue // IA_NA leases are server-assigned, not SLAAC
@@ -387,28 +391,18 @@ func (ds *Dataset) Table6() Inventory {
 		inv.AOnlyV6Names[ci] += len(aOnly)
 		inv.V4OnlyAAAANames[ci] += len(v4Only)
 		inv.AAAARes[ci] += len(res)
+		// Volume fractions from the dual-stack runs.
+		dd := dual[p.Name]
+		v6Bytes[ci] += float64(dd.BytesV6)
+		allBytes[ci] += float64(dd.BytesV4 + dd.BytesV6)
 	}
-	// Volume fractions from the dual-stack runs.
-	dual := ds.DualExps()
 	var totV6, totAll float64
 	for ci := range paper.CategoryOrder {
-		var v6, all float64
-		for _, p := range ds.Profiles {
-			if ds.catIndex(p.Name) != ci {
-				continue
-			}
-			d := merged(dual, p.Name)
-			if d == nil {
-				continue
-			}
-			v6 += float64(d.BytesV6)
-			all += float64(d.BytesV4 + d.BytesV6)
+		if allBytes[ci] > 0 {
+			inv.V6FracPct[ci] = 100 * v6Bytes[ci] / allBytes[ci]
 		}
-		if all > 0 {
-			inv.V6FracPct[ci] = 100 * v6 / all
-		}
-		totV6 += v6
-		totAll += all
+		totV6 += v6Bytes[ci]
+		totAll += allBytes[ci]
 	}
 	if totAll > 0 {
 		inv.V6FracTotalPct = 100 * totV6 / totAll
@@ -426,13 +420,10 @@ type CDFs struct {
 
 // Figure3 computes the distribution data.
 func (ds *Dataset) Figure3() CDFs {
-	exps := ds.V6Exps()
+	view := ds.union(subsetV6)
 	var out CDFs
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		d := view[p.Name]
 		n := len(d.Assigned)
 		if _, ok := d.Assigned[d.StatefulLease]; ok {
 			n-- // server-assigned lease, outside the SLAAC inventory
@@ -482,12 +473,12 @@ type VolumeShare struct {
 // Figure4 lists devices with global IPv6 data in dual-stack, sorted by
 // descending fraction.
 func (ds *Dataset) Figure4() []VolumeShare {
-	dual := ds.DualExps()
+	dual := ds.union(subsetDual)
 	base := ds.BaselineV6Only()
 	var out []VolumeShare
 	for _, p := range ds.Profiles {
-		d := merged(dual, p.Name)
-		if d == nil || !d.InternetV6 || d.BytesV4+d.BytesV6 == 0 {
+		d := dual[p.Name]
+		if !d.InternetV6 || d.BytesV4+d.BytesV6 == 0 {
 			continue
 		}
 		out = append(out, VolumeShare{
@@ -498,4 +489,35 @@ func (ds *Dataset) Figure4() []VolumeShare {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].FracPct > out[j].FracPct })
 	return out
+}
+
+// --- Table 10: per-device inventory ---
+
+// InventoryRow is one device's Table 10 row.
+type InventoryRow struct {
+	Name     string
+	Category device.Category
+	// Features holds, in order: functional in the IPv6-only baseline,
+	// then NDP, an address, a GUA, DNS over IPv6 and global data over the
+	// union of the v6-enabled runs.
+	Features [6]bool
+}
+
+// Table10 lists every device's observed IPv6 features.
+func (ds *Dataset) Table10() []InventoryRow {
+	base := ds.BaselineV6Only()
+	view := ds.union(subsetV6)
+	rows := make([]InventoryRow, 0, len(ds.Profiles))
+	for _, p := range ds.Profiles {
+		d := view[p.Name]
+		rows = append(rows, InventoryRow{Name: p.Name, Category: p.Category, Features: [6]bool{
+			base != nil && base.Functional[p.Name],
+			d.NDP,
+			len(d.Assigned) > 0,
+			d.HasAddr(addr.KindGUA),
+			d.DNSOverV6(),
+			d.InternetV6,
+		}})
+	}
+	return rows
 }

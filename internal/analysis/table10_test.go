@@ -13,30 +13,29 @@ import (
 // shows equals what the paper reported per device.
 func TestTable10PerDevice(t *testing.T) {
 	ds := dataset(t)
-	base := ds.BaselineV6Only()
-	exps := ds.V6Exps()
-	v6only := ds.V6OnlyExps()
-	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			d = newDeviceObs(p, [6]byte{})
-		}
-		d6 := merged(v6only, p.Name)
-		if d6 == nil {
-			d6 = newDeviceObs(p, [6]byte{})
-		}
+	rows := ds.Table10()
+	if len(rows) != len(ds.Profiles) {
+		t.Fatalf("Table10 has %d rows, want %d", len(rows), len(ds.Profiles))
+	}
+	v6only := ds.union(subsetV6Only)
+	for i, p := range ds.Profiles {
+		r := rows[i]
+		d6 := v6only[p.Name]
 
 		check := func(col string, got, want bool) {
 			if got != want {
 				t.Errorf("%-22s %-12s observed=%v, Table 10 says %v", p.Name, col, got, want)
 			}
 		}
-		check("Functional", base.Functional[p.Name], p.FunctionalV6Only)
-		check("NDP", d.NDP, p.NDP)
-		check("Address", len(d.Assigned) > 0, p.AssignAddr)
-		check("GUA", d.HasAddr(addr.KindGUA), p.GUA)
-		check("DNSOverV6", d.DNSOverV6(), p.DNSOverV6)
-		check("GlobalData", d.InternetV6, p.V6InternetData)
+		if r.Name != p.Name || r.Category != p.Category {
+			t.Errorf("row %d is %s/%s, want %s/%s", i, r.Name, r.Category, p.Name, p.Category)
+		}
+		check("Functional", r.Features[0], p.FunctionalV6Only)
+		check("NDP", r.Features[1], p.NDP)
+		check("Address", r.Features[2], p.AssignAddr)
+		check("GUA", r.Features[3], p.GUA)
+		check("DNSOverV6", r.Features[4], p.DNSOverV6)
+		check("GlobalData", r.Features[5], p.V6InternetData)
 
 		// The IPv6-only view must respect the dual-only gating flags.
 		if p.DualOnlyAddr {
@@ -56,16 +55,13 @@ func TestTable10PerDevice(t *testing.T) {
 // Fridge source traffic from their DHCPv6 leases.
 func TestStatefulAddressUsers(t *testing.T) {
 	ds := dataset(t)
-	exps := ds.V6Exps()
+	view := ds.union(subsetV6)
 	want := map[string]bool{
 		"SmartThings Hub": true, "HomePod Mini": true,
 		"Aeotec Hub": true, "Samsung Fridge": true,
 	}
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		d := view[p.Name]
 		uses := d.StatefulLease.IsValid() && d.Used[d.StatefulLease]
 		if uses != want[p.Name] {
 			t.Errorf("%s: uses stateful lease = %v, want %v", p.Name, uses, want[p.Name])
@@ -78,16 +74,13 @@ func TestStatefulAddressUsers(t *testing.T) {
 // documented deviation) hold more than one link-local address.
 func TestLLARotators(t *testing.T) {
 	ds := dataset(t)
-	exps := ds.V6Exps()
+	view := ds.union(subsetV6)
 	allowed := map[string]bool{
 		"Samsung Fridge": true, "Samsung TV": true,
 		"HomePod Mini": true, "Apple TV": true, "Aeotec Hub": true,
 	}
 	for _, p := range ds.Profiles {
-		d := merged(exps, p.Name)
-		if d == nil {
-			continue
-		}
+		d := view[p.Name]
 		llas := 0
 		for _, k := range d.Assigned {
 			if k == addr.KindLLA {

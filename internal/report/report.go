@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 
-	"v6lab/internal/addr"
 	"v6lab/internal/analysis"
 	"v6lab/internal/experiment"
 	"v6lab/internal/paper"
@@ -70,7 +69,8 @@ func Table3(f analysis.Funnel) string {
 // Figure2 renders the concentric-ring percentages of Figure 2.
 func Figure2(f analysis.Funnel) string {
 	var w strings.Builder
-	fmt.Fprintf(&w, "Figure 2 — IPv6-only rings (%% of 93 devices)\n")
+	n := f.Devices.Total()
+	fmt.Fprintf(&w, "Figure 2 — IPv6-only rings (%% of %d devices)\n", n)
 	rows := []struct {
 		label string
 		v     paper.Vec
@@ -83,7 +83,7 @@ func Figure2(f analysis.Funnel) string {
 	}
 	for _, r := range rows {
 		fmt.Fprintf(&w, "  %-26s %3d devices  %5.1f%%\n", r.label, r.v.Total(),
-			100*float64(r.v.Total())/93)
+			100*float64(r.v.Total())/float64(n))
 	}
 	return w.String()
 }
@@ -361,27 +361,13 @@ func Table13(rows []analysis.GroupRow) string {
 }
 
 // Table10 renders the per-device inventory.
-func Table10(ds *analysis.Dataset) string {
+func Table10(rows []analysis.InventoryRow) string {
 	var w strings.Builder
 	fmt.Fprintf(&w, "Table 10 — Device inventory with observed IPv6 features\n")
 	fmt.Fprintf(&w, "%-24s %-10s %4s %4s %4s %4s %4s %4s\n", "Device", "Category", "Func", "NDP", "Addr", "GUA", "DNS6", "Data")
-	base := ds.BaselineV6Only()
-	exps := ds.V6Exps()
-	for _, p := range ds.Profiles {
-		d := analysis.Merged(exps, p.Name)
-		row := [6]bool{}
-		if base != nil {
-			row[0] = base.Functional[p.Name]
-		}
-		if d != nil {
-			row[1] = d.NDP
-			row[2] = len(d.Assigned) > 0
-			row[3] = d.HasAddr(addr.KindGUA)
-			row[4] = d.DNSOverV6()
-			row[5] = d.InternetV6
-		}
-		fmt.Fprintf(&w, "%-24s %-10s", p.Name, p.Category)
-		for _, b := range row {
+	for _, r := range rows {
+		fmt.Fprintf(&w, "%-24s %-10s", r.Name, r.Category)
+		for _, b := range r.Features {
 			mark := " ."
 			if b {
 				mark = " x"

@@ -36,7 +36,7 @@ func TestVecRowAlignmentAndPaperDiff(t *testing.T) {
 }
 
 func TestFigure2Percentages(t *testing.T) {
-	f := analysis.Funnel{NDP: paper.Table3.NDP}
+	f := analysis.Funnel{Devices: paper.DevicesPerCategory, NDP: paper.Table3.NDP}
 	out := Figure2(f)
 	if !strings.Contains(out, "63.4%") {
 		t.Errorf("figure 2 missing 63.4%%:\n%s", out)

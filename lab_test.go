@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"v6lab/internal/analysis"
 	"v6lab/internal/paper"
 )
 
@@ -36,6 +38,48 @@ func TestEveryArtifactRenders(t *testing.T) {
 	if full := lab.FullReport(); len(full) < 4000 {
 		t.Errorf("full report only %d bytes", len(full))
 	}
+}
+
+// coldDataset returns a Dataset over ds's observations whose per-subset
+// union views are still unbuilt.
+func coldDataset(ds *analysis.Dataset) *analysis.Dataset {
+	return &analysis.Dataset{Exps: ds.Exps, Profiles: ds.Profiles, ActiveAAAA: ds.ActiveAAAA, Cloud: ds.Cloud}
+}
+
+// TestConcurrentColdRender renders every artifact from eight goroutines
+// over one Dataset whose union views are unbuilt, so the goroutines race
+// to build them; every render must match a serial one byte for byte.
+func TestConcurrentColdRender(t *testing.T) {
+	lab := sharedLab(t)
+	render := func(ds *analysis.Dataset, a Artifact) string {
+		out, err := renderArtifact(Results{Study: lab.Study, Data: ds}, a)
+		if err != nil {
+			t.Error(err)
+		}
+		return out
+	}
+	want := map[Artifact]string{}
+	serial := coldDataset(lab.Data)
+	for _, a := range Artifacts {
+		want[a] = render(serial, a)
+	}
+	shared := coldDataset(lab.Data)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Each goroutine starts at a different artifact, so the
+			// views are first asked for from different tables.
+			for i := range Artifacts {
+				a := Artifacts[(g+i)%len(Artifacts)]
+				if got := render(shared, a); got != want[a] {
+					t.Errorf("goroutine %d: %s differs from the serial render", g, a)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestHeadlineNumbers checks the abstract's percentages end to end.

@@ -7,6 +7,7 @@ import (
 
 	"v6lab/internal/device"
 	"v6lab/internal/faults"
+	"v6lab/internal/paper"
 )
 
 func TestZeroOptionNewMatchesFullRegistry(t *testing.T) {
@@ -35,6 +36,27 @@ func TestWithDevicesRestrictsAndOrders(t *testing.T) {
 	}
 	if idx[names[0]] > idx[names[1]] {
 		t.Errorf("devices %v not in registry order", names)
+	}
+}
+
+// TestTable3CountsTheWorldThatRan checks that Table 3 and Figure 2
+// describe the lab's own devices, not the paper's 93-device testbed.
+func TestTable3CountsTheWorldThatRan(t *testing.T) {
+	lab := New(WithDevices("Wyze Cam", "Apple TV"))
+	if err := lab.Run(); err != nil {
+		t.Fatal(err)
+	}
+	f := lab.Data.Table3()
+	if got := f.Devices.Total(); got != 2 {
+		t.Errorf("Table 3 counts %d devices, want 2", got)
+	}
+	for i, c := range paper.CategoryOrder {
+		if f.NoIPv6[i]+f.NDP[i] != f.Devices[i] {
+			t.Errorf("%s: NoIPv6 %d + NDP %d != Devices %d", c, f.NoIPv6[i], f.NDP[i], f.Devices[i])
+		}
+	}
+	if out := lab.Report(Figure2); !strings.Contains(out, "% of 2 devices") {
+		t.Errorf("Figure 2 does not describe the 2-device lab:\n%s", out)
 	}
 }
 

@@ -140,7 +140,7 @@ func TestFaultedStudyWorkerInvariance(t *testing.T) {
 // network even in a faulted lab, so any change to how a home comes up —
 // faulted Table 2 runs or clean scan boots — shows up here.
 var faultedFirewallHashes = map[string]string{
-	"fullreport":          "e69e325087fe7779f0dfd8f103e8d45f9c5a88aff6f7f2033e875d05913075b4",
+	"fullreport":          "4d2a0e6ebf7136f43a54ca775d83b659165b23903bbc5e5eb04e561781fdb2aa",
 	"ipv4-only":           "0607b9c6b39f6e357be753f0348e7efc02f80b9797435ba86b09cbb606403ea0",
 	"ipv6-only":           "50cf7a09fcf6a056249216507396578c7e13969b8a467b1712bd94e8482e993f",
 	"ipv6-only-rdnss":     "b75846d4105a6e0d5d2077981581f2f6a9045929df82d5c65d8b4dba44a5cfe1",

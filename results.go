@@ -134,7 +134,7 @@ func renderArtifact(res Results, a Artifact) (string, error) {
 	case Table9:
 		return report.Table9(ds.Table9()), nil
 	case Table10:
-		return report.Table10(ds), nil
+		return report.Table10(ds.Table10()), nil
 	case Table12:
 		return report.Groups("Table 12 — feature support by purchase year", ds.GroupBy("year", 1)), nil
 	case Table13:
