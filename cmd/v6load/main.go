@@ -107,8 +107,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	base = strings.TrimSuffix(base, "/")
 
+	// Fleet and adversary jobs ignore the lab seed (the server
+	// canonicalizes it to 1), so their specs vary the population instead.
+	seedField := "seed"
+	if *kind == "fleet" || *kind == "adversary" {
+		seedField = "fleet_seed"
+	}
 	specFor := func(seed uint64) string {
-		spec := map[string]any{"kind": *kind, "seed": seed}
+		spec := map[string]any{"kind": *kind, seedField: seed}
 		if *devices != "" {
 			var names []string
 			for _, n := range strings.Split(*devices, ",") {

@@ -75,24 +75,29 @@ func TestDuplicateRatioHitsCacheAndVerifies(t *testing.T) {
 	}
 }
 
-// TestUniqueRequestsMissCache: with -dup 0 every spec is unique; the
-// cache-hit expectation fails loudly.
+// TestUniqueRequestsMissCache: with -dup 0 every spec is unique — for
+// fleet jobs too, whose lab seed the server ignores; the cache-hit
+// expectation fails loudly.
 func TestUniqueRequestsMissCache(t *testing.T) {
 	ts := testServer(t)
-	code, stdout, stderr := runCmd(
-		"-addr", ts.URL,
-		"-tenants", "1", "-requests", "2", "-dup", "0",
-		"-devices", "Wyze Cam,Apple TV",
-		"-expect-cache-hits", "1",
-	)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1 (unique requests cannot hit the cache)\nstdout:\n%s", code, stdout)
-	}
-	if !strings.Contains(stderr, "expected at least 1 cache hits, saw 0") {
-		t.Errorf("stderr missing the cache-hit diagnosis:\n%s", stderr)
-	}
-	if !strings.Contains(stdout, "completed: 2") {
-		t.Errorf("stdout missing completion count:\n%s", stdout)
+	for _, spec := range [][]string{
+		{"-devices", "Wyze Cam,Apple TV"},
+		{"-kind", "fleet", "-fleet-homes", "2"},
+	} {
+		code, stdout, stderr := runCmd(append([]string{
+			"-addr", ts.URL,
+			"-tenants", "1", "-requests", "2", "-dup", "0",
+			"-expect-cache-hits", "1",
+		}, spec...)...)
+		if code != 1 {
+			t.Fatalf("%v: exit code = %d, want 1 (unique requests cannot hit the cache)\nstdout:\n%s", spec, code, stdout)
+		}
+		if !strings.Contains(stderr, "expected at least 1 cache hits, saw 0") {
+			t.Errorf("%v: stderr missing the cache-hit diagnosis:\n%s", spec, stderr)
+		}
+		if !strings.Contains(stdout, "completed: 2") {
+			t.Errorf("%v: stdout missing completion count:\n%s", spec, stdout)
+		}
 	}
 }
 

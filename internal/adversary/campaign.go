@@ -180,7 +180,6 @@ func campaignHome(cfg Config, hr *fleet.HomeResult, hd *HomeDiscovery, ports []u
 	if err != nil {
 		return nil, err
 	}
-	st.FoldCloudMetrics()
 	hc.TargetsProbed = te.AddrsProbed
 	hc.ProbesSent = te.ProbesSent
 	hc.Functional = te.FunctionalDevices

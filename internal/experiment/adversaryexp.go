@@ -48,7 +48,7 @@ type TargetedExposure struct {
 // is deterministic: sport cycles from 40000 in hitlist order, so the same
 // hitlist always produces the same frames.
 func (st *Study) RunTargetedExposure(cfg Config, pol firewall.Policy, targets []TargetProbe) (*TargetedExposure, error) {
-	net, rt, _, err := st.bootFirewalled(cfg, pol)
+	net, rt, err := st.bootFirewalled(cfg, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -107,5 +107,6 @@ func (st *Study) RunTargetedExposure(cfg Config, pol firewall.Policy, targets []
 		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
 		te.Open[a] = list
 	}
+	st.end(rt)
 	return te, nil
 }

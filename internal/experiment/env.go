@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"v6lab/internal/dnsmsg"
 	"v6lab/internal/world"
 )
 
@@ -68,7 +67,7 @@ func (p *EnvPool) Idle() int {
 // study's pool when one is parked there, or builds a fresh one over the
 // same World. Either way the environment is adopted into this study —
 // budget, capture policy, faults, telemetry wiring — but keeps its own
-// stacks, clock, switch, and query counters.
+// stacks, clock, switch, and cloud clone.
 func (st *Study) acquireEnv(w int, base time.Time) *Study {
 	if st.pool == nil && w == 0 {
 		return st
@@ -84,14 +83,10 @@ func (st *Study) acquireEnv(w int, base time.Time) *Study {
 	env.Capture = st.Capture
 	env.Observe = st.Observe
 	env.Faults = st.Faults
-	// The environments share the study's instruments and sink: counter
-	// folds are atomic additions (order-independent), and cloud-query
-	// folding stays with the study, which merges the environments'
-	// counters in config order before its single fold.
-	env.Telemetry = st.Telemetry
+	// The environments share the study's instruments and sink: every
+	// home's fold is an atomic addition, so it is order-independent.
 	env.Progress = st.Progress
 	env.tm = st.tm
-	clear(env.Cloud.Queries)
 	return env
 }
 
@@ -112,12 +107,4 @@ func (st *Study) releaseEnv(env *Study) {
 func (env *Study) beginRun(base time.Time, prior []Config) {
 	env.Clock.Reset(base)
 	env.seedDHCP4(prior)
-}
-
-// takeQueries returns the environment's accumulated cloud query counters
-// and leaves it with fresh ones, so each run's counts merge exactly once.
-func (env *Study) takeQueries() map[dnsmsg.Type]int {
-	q := env.Cloud.Queries
-	env.Cloud.Queries = make(map[dnsmsg.Type]int, len(q))
-	return q
 }

@@ -224,16 +224,13 @@ type Study struct {
 	// study built without fault support.
 	Faults *faults.Profile
 
-	// Telemetry, when non-nil, is the registry every subsystem counts
-	// into; nil (the default) runs fully uninstrumented.
-	Telemetry *telemetry.Registry
 	// Progress, when non-nil, receives a completion event per experiment
 	// (and per firewall policy). The event stream is completion-ordered —
 	// a live view, deliberately outside the deterministic snapshot.
 	Progress telemetry.Sink
 
-	// tm caches the registry's pre-resolved instruments; nil when
-	// Telemetry is nil.
+	// tm caches the pre-resolved instruments of StudyOptions.Telemetry;
+	// nil runs fully uninstrumented.
 	tm *studyMetrics
 
 	// net is the study's recycled L2 switch (see network); never nil
@@ -325,7 +322,6 @@ func NewStudyWith(opts StudyOptions) *Study {
 		Capture:         opts.Capture,
 		Observe:         opts.Observe,
 		Workers:         opts.Workers,
-		Telemetry:       opts.Telemetry,
 		Progress:        opts.Progress,
 		net:             opts.Network,
 		pool:            opts.Pool,
@@ -369,11 +365,6 @@ func (st *Study) RunAllContext(ctx context.Context) error {
 	st.RunActiveDNS()
 	var err error
 	st.Scan, err = st.RunPortScan()
-	if err == nil && st.tm != nil {
-		// One fold of the study's accumulated cloud query totals, once the
-		// merge has summed every run's counters in config order.
-		st.tm.foldCloud(st.Cloud)
-	}
 	return err
 }
 
@@ -442,8 +433,9 @@ func (st *Study) RunExperiment(cfg Config) (*RunResult, error) {
 	// Fold before the inter-experiment hour so elapsed reflects only
 	// simulated time this run consumed, whichever environment ran it.
 	elapsed := st.Clock.Now().Sub(began)
+	st.end(rt)
 	if st.tm != nil {
-		st.tm.foldRun(cfg, rt, st.Stacks, elapsed)
+		st.tm.foldTest(cfg, st.Stacks, elapsed)
 		// Capture-path accounting: atomic adds, so the fold is identical
 		// across engines and worker counts.
 		if cap != nil {
@@ -486,17 +478,6 @@ func (st *Study) RunActiveDNS() {
 				Party:   sp.Party,
 			}
 		}
-	}
-}
-
-// FoldCloudMetrics folds the study's not-yet-folded cloud query counts
-// into the telemetry registry (a no-op without telemetry). RunAllContext
-// and the firewall-exposure loop call it automatically; callers driving
-// RunExperiment directly (the fleet's single-config homes, the
-// resilience grid) call it once their study is done.
-func (st *Study) FoldCloudMetrics() {
-	if st.tm != nil {
-		st.tm.foldCloud(st.Cloud)
 	}
 }
 

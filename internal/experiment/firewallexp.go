@@ -125,12 +125,6 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 			return nil, err
 		}
 		rep.Policies = append(rep.Policies, *pe)
-		if st.tm != nil {
-			st.tm.foldFirewall(pe)
-			// The exposure runs add cloud queries after the study's
-			// RunAll fold; pick up the per-policy delta here.
-			st.tm.foldCloud(st.Cloud)
-		}
 		telemetry.Emit(st.Progress, telemetry.Event{
 			Scope:   "firewall",
 			ID:      pe.Policy,
@@ -145,23 +139,22 @@ func (st *Study) RunFirewallExposureUnder(cfg Config, policies []firewall.Policy
 // router's inbound-IPv6 path and runs the workload, so conntrack holds the
 // devices' outbound flows — the state every WAN-vantage scan must
 // traverse. Scans boot on a clean network, even in a faulted study.
-func (st *Study) bootFirewalled(cfg Config, pol firewall.Policy) (*netsim.Network, *router.Router, *firewall.Firewall, error) {
+func (st *Study) bootFirewalled(cfg Config, pol firewall.Policy) (*netsim.Network, *router.Router, error) {
 	net := st.network()
 	rt := router.New(cfg.Router, st.Cloud)
-	fw := firewall.New(pol, st.Clock, conntrack.DefaultConfig())
-	rt.SetFirewall(fw)
+	rt.SetFirewall(firewall.New(pol, st.Clock, conntrack.DefaultConfig()))
 	st.attach(net, cfg, rt, nil, "")
 	if err := st.boot(net, rt); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := st.workload(net, rt); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return net, rt, fw, nil
+	return net, rt, nil
 }
 
 func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*PolicyExposure, error) {
-	net, rt, fw, err := st.bootFirewalled(cfg, pol)
+	net, rt, err := st.bootFirewalled(cfg, pol)
 	if err != nil {
 		return nil, err
 	}
@@ -240,8 +233,9 @@ func (st *Study) runExposure(cfg Config, pol firewall.Policy, ports []uint16) (*
 		pe.DevicesReachable++
 		pe.PortsReachable += len(list)
 	}
-	pe.FW = fw.Stats()
-	pe.Flows = fw.Table.Len()
-	pe.CT = fw.Table.Stats()
+	pe.FW = rt.FW.Stats()
+	pe.Flows = rt.FW.Table.Len()
+	pe.CT = rt.FW.Table.Stats()
+	st.end(rt)
 	return pe, nil
 }

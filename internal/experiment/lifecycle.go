@@ -11,9 +11,10 @@ import (
 
 // The home lifecycle (§4.1). Every way a home comes up — a Table 2 run,
 // the §4.3 port scan, each WAN firewall scan, every timeline home — is
-// one sequence: network (a reset switch), attach, boot, then optionally
-// workload. The callers differ only in what they plug in (taps, a
-// firewall, the scanner) and what they do once the home is up.
+// one sequence: network (a reset switch), attach, boot, optionally
+// workload, and end, which folds the home's counters once. The callers
+// differ only in what they plug in (taps, a firewall, the scanner) and
+// what they do once the home is up.
 //
 // Only the Table 2 runs and timeline homes are impaired. The port scan
 // and the firewall scans attach without a fault profile even in a
@@ -21,14 +22,18 @@ import (
 // clean network by design.
 
 // network returns the study's recycled switch, reset onto the study
-// clock and wired to the study's instruments (or to none). Reusing one
-// switch across consecutive runs (the six Table 2 experiments, a fleet
-// worker's homes) means it reaches a steady state where delivering a full
-// run's traffic allocates nothing. The reset invalidates every frame the
-// previous run's arena handed out — callers retain only capture copies
-// and value types, which is the Reset contract that makes recycling safe.
+// clock and wired to the study's instruments (or to none), and zeroes the
+// cloud's query counters, so they hold exactly what this home serves —
+// even when an aborted home left counts behind in a pooled environment.
+// Reusing one switch across consecutive runs (the six Table 2
+// experiments, a fleet worker's homes) means it reaches a steady state
+// where delivering a full run's traffic allocates nothing. The reset
+// invalidates every frame the previous run's arena handed out — callers
+// retain only capture copies and value types, which is the Reset contract
+// that makes recycling safe.
 func (st *Study) network() *netsim.Network {
 	st.net.Reset(st.Clock)
+	clear(st.Cloud.Queries)
 	var m *netsim.Metrics
 	if st.tm != nil {
 		m = st.tm.net
@@ -100,15 +105,32 @@ func (st *Study) workload(net *netsim.Network, rt *router.Router) error {
 	return nil
 }
 
-// Boot brings the study's home up under cfg with rt as its router — the
-// network, attach, and boot steps of a Table 2 run, impaired by the
-// study's fault profile (its link sub-seeded by linkKey) — and leaves
-// what runs next to the caller. The timeline drives its event loop from
-// here.
-func (st *Study) Boot(cfg Config, rt *router.Router, linkKey string) error {
+// end closes a home that ran to completion: its router, firewall,
+// conntrack, device-retry, and cloud-query counters fold into the study's
+// telemetry, once. Every lifecycle caller ends its home here on success,
+// so every engine counts the same layers.
+func (st *Study) end(rt *router.Router) {
+	if st.tm != nil {
+		st.tm.fold(rt, st.Stacks, st.Cloud)
+	}
+}
+
+// RunHome is the lifecycle for callers outside this package: it brings
+// the study's home up under cfg with rt as its router — network, attach,
+// and boot, impaired by the study's fault profile (its link sub-seeded by
+// linkKey) — runs body on the booted home, and ends it. The timeline's
+// event loop is such a body.
+func (st *Study) RunHome(cfg Config, rt *router.Router, linkKey string, body func() error) error {
 	net := st.network()
 	st.attach(net, cfg, rt, st.Faults, linkKey)
-	return st.boot(net, rt)
+	if err := st.boot(net, rt); err != nil {
+		return err
+	}
+	if err := body(); err != nil {
+		return err
+	}
+	st.end(rt)
+	return nil
 }
 
 // retryRounds models client retransmit timers under impairment: advance

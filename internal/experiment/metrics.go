@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"sync"
 	"time"
 
 	"v6lab/internal/cloud"
@@ -12,34 +11,37 @@ import (
 )
 
 // studyMetrics binds a study to a telemetry registry: the netsim
-// hot-path instruments plus pre-resolved counters every deterministic
-// fold point adds into. Registration is idempotent, so any number of
-// studies (fleet homes, resilience profiles, Table 2 worker
-// environments) built over the same registry accumulate into the same
-// counters — and because every fold is an atomic addition, the final
-// snapshot is independent of the order concurrent studies finish in.
+// hot-path instruments plus pre-resolved counters the folds add into.
+// Registration is idempotent, so any number of studies (fleet homes,
+// resilience profiles, Table 2 worker environments) built over the same
+// registry accumulate into the same counters — and because every fold is
+// an atomic addition, the final snapshot is independent of the order
+// concurrent studies finish in.
 type studyMetrics struct {
 	reg *telemetry.Registry
 	net *netsim.Metrics
 
-	// Router-side folds, taken per experiment run.
+	// Per-home folds (fold), taken once as each home ends.
 	fwdV4, fwdV6, nat44, ptb    *telemetry.Counter
 	leases4, leases6, neighbors *telemetry.Counter
 	serviceDrops                *telemetry.Counter
 
-	// Firewall / conntrack folds, taken per exposure run.
 	fwPassedOut, fwAllowedState, fwAllowedPolicy, fwDroppedIn     *telemetry.Counter
 	ctFlows, ctHits, ctMisses, ctInserts, ctEvictions, ctExpiries *telemetry.Counter
 
-	// Device folds.
-	retransmits, retryRounds *telemetry.Counter
+	retransmits  *telemetry.Counter
+	cloudQueries *telemetry.CounterVec
+
+	// Backoff rounds, counted as the lifecycle runs them.
+	retryRounds *telemetry.Counter
+
+	// Functionality tests and experiment progress (foldTest), taken per
+	// Table 2 run.
 	devTested, devFunctional *telemetry.Counter
 	failureStages            *telemetry.CounterVec
-
-	// Experiment progress.
-	expRuns      *telemetry.Counter
-	expElapsedMS *telemetry.Counter
-	expByConfig  *telemetry.CounterVec
+	expRuns                  *telemetry.Counter
+	expElapsedMS             *telemetry.Counter
+	expByConfig              *telemetry.CounterVec
 
 	// Analysis-path accounting: how runs fed their frames to analysis
 	// (streamed at delivery vs buffered into a capture) and how many
@@ -47,11 +49,6 @@ type studyMetrics struct {
 	framesStreamed *telemetry.Counter
 	framesBuffered *telemetry.Counter
 	captureBytes   *telemetry.Gauge
-
-	// Cloud queries by record type, folded as deltas (see foldCloud).
-	cloudQueries *telemetry.CounterVec
-	mu           sync.Mutex
-	lastQueries  map[string]int
 }
 
 // newStudyMetrics resolves every instrument on the registry once.
@@ -95,15 +92,15 @@ func newStudyMetrics(r *telemetry.Registry) *studyMetrics {
 		captureBytes:   r.Gauge("pcapio", "capture_bytes_retained", "Frame bytes currently retained in experiment captures."),
 
 		cloudQueries: r.CounterVec("cloud", "queries_total", "DNS questions served by the simulated cloud, by record type.", "type"),
-		lastQueries:  make(map[string]int),
 	}
 }
 
-// foldRun folds one finished connectivity run's router and device
-// counters. The router is private to the run, so its totals are this
-// run's deltas; elapsed is simulated time consumed, the run's own clock
-// delta, identical whichever environment ran it.
-func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, stacks []*device.Stack, elapsed time.Duration) {
+// fold adds one ended home's counters: its router's totals, its
+// firewall's decisions and conntrack table, its devices' retry
+// transmissions, and the cloud queries it served. The router is private
+// to the home and the cloud's counters start at zero with it (network),
+// so every value is exactly this home's contribution.
+func (tm *studyMetrics) fold(rt *router.Router, stacks []*device.Stack, cl *cloud.Cloud) {
 	tm.fwdV4.Add(uint64(rt.ForwardedV4))
 	tm.fwdV6.Add(uint64(rt.ForwardedV6))
 	tm.nat44.Add(uint64(rt.NATTranslations))
@@ -114,6 +111,30 @@ func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, stacks []*device.
 	if rt.Faults != nil {
 		tm.serviceDrops.Add(uint64(rt.Faults.RAsDropped + rt.Faults.DHCPv6Dropped + rt.Faults.AAAADropped))
 	}
+	fw := rt.FW.Stats()
+	tm.fwPassedOut.Add(fw.PassedOut)
+	tm.fwAllowedState.Add(fw.AllowedByState)
+	tm.fwAllowedPolicy.Add(fw.AllowedByPolicy)
+	tm.fwDroppedIn.Add(fw.DroppedIn)
+	ct := rt.FW.Table.Stats()
+	tm.ctFlows.Add(uint64(rt.FW.Table.Len()))
+	tm.ctHits.Add(uint64(ct.Hits))
+	tm.ctMisses.Add(uint64(ct.Misses))
+	tm.ctInserts.Add(uint64(ct.Inserts))
+	tm.ctEvictions.Add(uint64(ct.Evictions))
+	tm.ctExpiries.Add(uint64(ct.Expiries))
+	for _, s := range stacks {
+		tm.retransmits.Add(uint64(s.Retransmits()))
+	}
+	for typ, n := range cl.Queries {
+		tm.cloudQueries.With(typ.String()).Add(uint64(n))
+	}
+}
+
+// foldTest adds one Table 2 run's §4.1 functionality-test outcomes and
+// experiment progress; elapsed is the simulated time the run consumed,
+// its own clock delta, identical whichever environment ran it.
+func (tm *studyMetrics) foldTest(cfg Config, stacks []*device.Stack, elapsed time.Duration) {
 	for _, s := range stacks {
 		tm.devTested.Inc()
 		stage := s.FailureStage()
@@ -121,40 +142,8 @@ func (tm *studyMetrics) foldRun(cfg Config, rt *router.Router, stacks []*device.
 			tm.devFunctional.Inc()
 		}
 		tm.failureStages.With(stage).Inc()
-		tm.retransmits.Add(uint64(s.Retransmits()))
 	}
 	tm.expRuns.Inc()
 	tm.expByConfig.With(cfg.ID).Inc()
 	tm.expElapsedMS.Add(uint64(elapsed.Milliseconds()))
-}
-
-// foldFirewall folds one exposure run's firewall and conntrack counters.
-func (tm *studyMetrics) foldFirewall(pe *PolicyExposure) {
-	tm.fwPassedOut.Add(pe.FW.PassedOut)
-	tm.fwAllowedState.Add(pe.FW.AllowedByState)
-	tm.fwAllowedPolicy.Add(pe.FW.AllowedByPolicy)
-	tm.fwDroppedIn.Add(pe.FW.DroppedIn)
-	tm.ctFlows.Add(uint64(pe.Flows))
-	tm.ctHits.Add(uint64(pe.CT.Hits))
-	tm.ctMisses.Add(uint64(pe.CT.Misses))
-	tm.ctInserts.Add(uint64(pe.CT.Inserts))
-	tm.ctEvictions.Add(uint64(pe.CT.Evictions))
-	tm.ctExpiries.Add(uint64(pe.CT.Expiries))
-}
-
-// foldCloud folds the study's cloud query counters as a delta against
-// what this study last folded. The study's cloud totals at every fold
-// point are worker-count independent (the engine merges clone counters
-// in config order before any fold), so the deltas — and with
-// them the shared registry — stay byte-identical across worker counts.
-func (tm *studyMetrics) foldCloud(cl *cloud.Cloud) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	for typ, n := range cl.Queries {
-		key := typ.String()
-		if d := n - tm.lastQueries[key]; d > 0 {
-			tm.cloudQueries.With(key).Add(uint64(d))
-			tm.lastQueries[key] = n
-		}
-	}
 }

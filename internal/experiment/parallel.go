@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"v6lab/internal/device"
-	"v6lab/internal/dnsmsg"
 	"v6lab/internal/pool"
 )
 
@@ -38,7 +37,8 @@ import (
 // The cloud's domain registry is immutable while experiments run; its
 // only run-time mutation is the per-type query diagnostic counter, so
 // each environment serves through a Clone sharing the registry with
-// private counters, merged back (in config order) after the pool drains.
+// private counters, which each run's end folds into the shared telemetry
+// by atomic addition — the same totals whichever environment ran what.
 //
 // Merging in config order makes the Results slice — and therefore
 // FullReport and all six pcaps — byte-identical for every worker count.
@@ -49,7 +49,6 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 	start := st.Clock.Now()
 	type outcome struct {
 		res     *RunResult
-		queries map[dnsmsg.Type]int
 		elapsed time.Duration
 	}
 	outcomes := make([]outcome, len(Configs))
@@ -67,7 +66,7 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", Configs[i].ID, err)
 		}
-		outcomes[i] = outcome{res: res, queries: env.takeQueries(), elapsed: env.Clock.Now().Sub(start)}
+		outcomes[i] = outcome{res: res, elapsed: env.Clock.Now().Sub(start)}
 		return nil
 	})
 	for _, env := range envs {
@@ -95,9 +94,6 @@ func (st *Study) runConnectivity(ctx context.Context) error {
 		}
 		offset += out.elapsed
 		st.Results = append(st.Results, out.res)
-		for t, n := range out.queries {
-			st.Cloud.Queries[t] += n
-		}
 	}
 	// Leave the study clock and stacks past all six runs: the port scan
 	// draws its timestamps and next DHCPv4 XID from them.

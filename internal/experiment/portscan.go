@@ -120,6 +120,7 @@ func (st *Study) RunPortScan() (*ScanReport, error) {
 		}
 		report.Devices = append(report.Devices, ds)
 	}
+	st.end(rt)
 	return report, nil
 }
 

@@ -139,7 +139,6 @@ func runResilienceProfile(ctx context.Context, opts StudyOptions, p faults.Profi
 		po.ByConfig = append(po.ByConfig, rc)
 		po.FunctionalTotal += rc.Functional
 	}
-	st.FoldCloudMetrics()
 	telemetry.Emit(st.Progress, telemetry.Event{
 		Scope:   "resilience",
 		ID:      p.Name,

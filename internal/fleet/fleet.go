@@ -375,7 +375,6 @@ func runHome(cfg Config, reg []*device.Profile, spec HomeSpec, net *netsim.Netwo
 		}
 		hr.Exposure = &rep.Policies[0]
 	}
-	st.FoldCloudMetrics()
 	hr.Elapsed = st.Clock.Now().Sub(began)
 	if cfg.RetainWorlds {
 		hr.World = w

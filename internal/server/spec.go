@@ -50,15 +50,20 @@ type JobSpec struct {
 	// resilience.
 	Kind string `json:"kind"`
 	// Seed is the impairment/derivation seed (0 means the default 1).
-	// It is the first half of the cache key.
+	// It is the first half of the cache key. Fleet and adversary jobs
+	// derive everything from their own seeds, so theirs canonicalizes
+	// to 1.
 	Seed uint64 `json:"seed,omitempty"`
 	// Devices restricts the testbed to the named registry devices; empty
 	// means the full 93-device registry. Order does not matter: the lab
-	// keeps registry order regardless, so canonicalization sorts.
+	// keeps registry order regardless, so canonicalization sorts. Fleet,
+	// adversary, and timeline homes sample the registry themselves and
+	// reject it.
 	Devices []string `json:"devices,omitempty"`
 	// Fault names an impairment profile (clean | lossy-wifi |
 	// clamped-tunnel | flaky-dnsmasq) applied to the whole run; empty
-	// means the perfect network.
+	// means the perfect network. Fleet, adversary, and resilience jobs
+	// choose their own impairment and reject it.
 	Fault string `json:"fault,omitempty"`
 	// Policies names the inbound-IPv6 firewall policies for
 	// firewall-comparison jobs; empty means all three. Order matters
@@ -103,6 +108,14 @@ func (s JobSpec) Validate() error {
 			return err
 		}
 	}
+	// An option the kind ignores changes no output byte but would still
+	// split the cache, so it is an error like any other misplaced field.
+	if len(s.Devices) > 0 && (s.Kind == KindFleet || s.Kind == KindAdversary || s.Kind == KindTimeline) {
+		return fmt.Errorf("devices only apply to kinds %q, %q, and %q", KindStudy, KindFirewall, KindResilience)
+	}
+	if s.Fault != "" && (s.Kind == KindFleet || s.Kind == KindAdversary || s.Kind == KindResilience) {
+		return fmt.Errorf("fault only applies to kinds %q, %q, and %q", KindStudy, KindFirewall, KindTimeline)
+	}
 	if len(s.Policies) > 0 && s.Kind != KindFirewall {
 		return fmt.Errorf("policies only apply to kind %q", KindFirewall)
 	}
@@ -145,7 +158,9 @@ func (s JobSpec) Validate() error {
 func (s JobSpec) Canonicalize() JobSpec {
 	c := s
 	c.Kind = strings.ToLower(strings.TrimSpace(c.Kind))
-	if c.Seed == 0 {
+	if c.Seed == 0 || c.Kind == KindFleet || c.Kind == KindAdversary {
+		// Fleets and campaigns draw only from their own seeds: the lab
+		// seed changes no byte of them, so it must not split their key.
 		c.Seed = 1
 	}
 	c.Devices = canonicalDevices(c.Devices)

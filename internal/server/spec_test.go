@@ -23,6 +23,27 @@ func TestOptionsHashGolden(t *testing.T) {
 			"If the spec layout changed intentionally, update the golden hash — and "+
 			"know that every deployed cache key just changed with it.", got, goldenStudyHash)
 	}
+	// One valid spec per kind, with every option it honours set: the
+	// recorded hashes pin the canonical layout of every field.
+	cases := []struct {
+		spec JobSpec
+		hash string
+	}{
+		{JobSpec{Kind: KindStudy, Seed: 7, Devices: []string{"Apple TV", "Wyze Cam"}, Fault: "lossy-wifi"}, "41cf783b101ed26c052e47a4cdb517a081af57f59a8fa540cca65c24f27d13e8"},
+		{JobSpec{Kind: KindFirewall, Policies: []string{"deny", "open"}}, "aaddc3b03fe3a628ee26c94ee2c1ef4306419a7b927e557f4af7e41c4c7cf671"},
+		{JobSpec{Kind: KindFleet, FleetHomes: 20, FleetSeed: 3, Seed: 9}, "ef8a15035d15e608e19f86cd6c2e9bd91a07be5fcff7e93ce59973769aa2a004"},
+		{JobSpec{Kind: KindResilience, Seed: 9, Devices: []string{"Wyze Cam"}, MaxFramesPerRun: 500}, "8ec7aacb201158eeaaef89e056f0dd1c2b44a9a349e63b08c9be02bf6c10225f"},
+		{JobSpec{Kind: KindAdversary, FleetHomes: 12, CampaignSeed: 5, Seed: 4}, "1601ded18f61067fb4b17c854179ad891f0953e1d5561dfdd3924aafe44da360"},
+		{JobSpec{Kind: KindTimeline, FleetHomes: 8, FleetSeed: 3, Horizon: "48h", Fault: "lossy-wifi"}, "c1c2819f240abcfd84203e53ca3e50a3864921913be86b11a299b7c5d67642cd"},
+	}
+	for _, c := range cases {
+		if err := c.spec.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", c.spec, err)
+		}
+		if got := c.spec.OptionsHash(); got != c.hash {
+			t.Errorf("%s options hash = %s, recorded %s", c.spec.Kind, got, c.hash)
+		}
+	}
 }
 
 // TestCanonicalJSONRoundTrip: a canonical spec survives a JSON
@@ -91,15 +112,32 @@ func TestWorkersExcludedFromHash(t *testing.T) {
 }
 
 // TestSeedSplitsKeyNotHash: the seed is the explicit first half of the
-// key, not part of the options hash.
+// key, not part of the options hash. Fleet and adversary jobs draw only
+// from their own seeds, so theirs canonicalizes to 1 and never splits it.
 func TestSeedSplitsKeyNotHash(t *testing.T) {
-	a := JobSpec{Kind: KindResilience, Seed: 1}.CacheKey()
-	b := JobSpec{Kind: KindResilience, Seed: 2}.CacheKey()
-	if a.Hash != b.Hash {
-		t.Errorf("seed leaked into the options hash: %s vs %s", a.Hash, b.Hash)
+	cases := []struct {
+		spec  JobSpec
+		split bool
+	}{
+		{JobSpec{Kind: KindResilience}, true},
+		{JobSpec{Kind: KindStudy}, true},
+		{JobSpec{Kind: KindTimeline, FleetHomes: 5, Horizon: "2d", Fault: "lossy-wifi"}, true},
+		{JobSpec{Kind: KindFleet, FleetHomes: 5}, false},
+		{JobSpec{Kind: KindAdversary, FleetHomes: 5, CampaignSeed: 3}, false},
 	}
-	if a == b {
-		t.Error("different seeds produced the same cache key")
+	for _, c := range cases {
+		one, two := c.spec, c.spec
+		one.Seed, two.Seed = 1, 2
+		a, b := one.CacheKey(), two.CacheKey()
+		if a.Hash != b.Hash {
+			t.Errorf("%s: seed leaked into the options hash: %s vs %s", c.spec.Kind, a.Hash, b.Hash)
+		}
+		if split := a != b; split != c.split {
+			t.Errorf("%s: seeds 1 and 2 split the cache key = %v, want %v", c.spec.Kind, split, c.split)
+		}
+		if got := two.Canonicalize().Seed; !c.split && got != 1 {
+			t.Errorf("%s: canonical seed = %d, want 1", c.spec.Kind, got)
+		}
 	}
 }
 
@@ -176,6 +214,13 @@ func TestValidateRejects(t *testing.T) {
 		{JobSpec{Kind: KindStudy, Workers: -2}, "non-negative"},
 		{JobSpec{Kind: KindAdversary}, "fleet_homes > 0"},
 		{JobSpec{Kind: KindFleet, FleetHomes: 5, CampaignSeed: 2}, "campaign_seed only applies"},
+		// Options the kind ignores would only split the cache.
+		{JobSpec{Kind: KindFleet, FleetHomes: 5, Fault: "lossy-wifi"}, "fault only applies"},
+		{JobSpec{Kind: KindAdversary, FleetHomes: 5, Fault: "flaky-dnsmasq"}, "fault only applies"},
+		{JobSpec{Kind: KindResilience, Fault: "clamped-tunnel"}, "fault only applies"},
+		{JobSpec{Kind: KindFleet, FleetHomes: 5, Devices: []string{"Wyze Cam"}}, "devices only apply"},
+		{JobSpec{Kind: KindAdversary, FleetHomes: 5, Devices: []string{"Wyze Cam"}}, "devices only apply"},
+		{JobSpec{Kind: KindTimeline, FleetHomes: 5, Horizon: "2d", Devices: []string{"Wyze Cam"}}, "devices only apply"},
 	}
 	for _, c := range cases {
 		err := c.spec.Validate()
@@ -191,8 +236,9 @@ func TestValidateRejects(t *testing.T) {
 		{Kind: KindStudy},
 		{Kind: KindFirewall, Policies: []string{"stateful-default-deny"}},
 		{Kind: KindFleet, FleetHomes: 10, FleetSeed: 2},
-		{Kind: KindResilience, Fault: "clamped-tunnel"},
+		{Kind: KindResilience, Devices: []string{"Wyze Cam"}},
 		{Kind: KindAdversary, FleetHomes: 8, CampaignSeed: 4},
+		{Kind: KindTimeline, FleetHomes: 8, Horizon: "2d", Fault: "lossy-wifi"},
 	}
 	for _, spec := range valid {
 		if err := spec.Validate(); err != nil {

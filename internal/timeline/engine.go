@@ -160,12 +160,6 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, net *netsim
 	// faulted boot's retry backoff counts against the first day.
 	start := st.Clock.Now()
 	rt := router.New(ec.Router, st.Cloud)
-	// Boot: the same lifecycle a single experiment runs; then the event
-	// loop takes over the worker's recycled switch.
-	if err := st.Boot(ec, rt, fmt.Sprintf("timeline-home-%d", spec.Index)); err != nil {
-		return nil, err
-	}
-
 	e := &homeEngine{
 		cfg:     cfg,
 		ec:      ec,
@@ -183,12 +177,16 @@ func runHome(cfg Config, reg []*device.Profile, spec fleet.HomeSpec, net *netsim
 	days := int((cfg.Horizon + 24*time.Hour - 1) / (24 * time.Hour))
 	e.res.Days = make([]DayStat, days)
 
-	e.schedule()
-	if err := e.loop(); err != nil {
+	// The home runs the same lifecycle a single experiment does, with the
+	// event loop on the worker's recycled switch as its body.
+	err := st.RunHome(ec, rt, fmt.Sprintf("timeline-home-%d", spec.Index), func() error {
+		e.schedule()
+		return e.loop()
+	})
+	if err != nil {
 		return nil, err
 	}
 	e.res.FramesDelivered = net.Delivered()
-	st.FoldCloudMetrics()
 	return e.res, nil
 }
 

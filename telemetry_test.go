@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"v6lab/internal/telemetry"
+	"v6lab/internal/timeline"
 )
 
 // TestResultsNotRun: a fresh lab has no typed results yet.
@@ -108,6 +110,16 @@ func TestTelemetryDeterminismStudy(t *testing.T) {
 	if !bytes.Equal(serialProm, parProm) {
 		t.Errorf("Prometheus snapshots differ between 1 and 6 workers")
 	}
+	// Every home folds the queries it served exactly once: a home folding
+	// twice, or never, moves these recorded totals.
+	for _, prom := range [][]byte{serialProm, parProm} {
+		for typ, want := range map[string]int{"A": 3415, "AAAA": 5673, "HTTPS": 954} {
+			line := fmt.Sprintf("v6lab_cloud_queries_total{type=%q} %d\n", typ, want)
+			if !bytes.Contains(prom, []byte(line)) {
+				t.Errorf("snapshot lacks %q", line)
+			}
+		}
+	}
 	sum := sha256.Sum256([]byte(lab.FullReport()))
 	if got := hex.EncodeToString(sum[:]); got != studyHashes["fullreport"] {
 		t.Errorf("instrumented fullreport hash = %s, want recorded %s", got, studyHashes["fullreport"])
@@ -183,6 +195,55 @@ func TestTelemetryDeterminismFleet(t *testing.T) {
 	}
 	if !bytes.Contains(serial, []byte(`"fleet_homes_completed_total"`)) {
 		t.Error("fleet snapshot missing fleet_homes_completed_total")
+	}
+}
+
+// TestTelemetryDeterminismEngines: every engine that brings homes up
+// through the experiment lifecycle counts the router, conntrack, and
+// firewall layers of those homes, and its snapshot is byte-identical at
+// one and four workers.
+func TestTelemetryDeterminismEngines(t *testing.T) {
+	engines := []struct {
+		name string
+		opts []Option
+		part func(workers int) RunPart
+	}{
+		{"connectivity", []Option{WithDevices("Wyze Cam", "Apple TV", "Google Home Mini")}, func(int) RunPart { return Connectivity() }},
+		{"fleet", nil, func(w int) RunPart { return Fleet(4, Workers(w)) }},
+		{"timeline", nil, func(w int) RunPart {
+			return Timeline(Days(2), TimelineConfig(timeline.Config{Homes: 4}), Workers(w))
+		}},
+		{"adversary", nil, func(w int) RunPart { return Adversary(4, Workers(w)) }},
+	}
+	for _, e := range engines {
+		t.Run(e.name, func(t *testing.T) {
+			snapshot := func(workers int) (telemetry.Snapshot, []byte) {
+				reg := telemetry.NewRegistry()
+				lab := New(append([]Option{WithTelemetry(reg), WithWorkers(workers)}, e.opts...)...)
+				if err := lab.Run(e.part(workers)); err != nil {
+					t.Fatal(err)
+				}
+				snap, _ := lab.TelemetrySnapshot()
+				j, err := snap.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return snap, j
+			}
+			snap, serial := snapshot(1)
+			vals := map[string]int64{}
+			for _, p := range snap.Points {
+				vals[p.Name] = p.Value
+			}
+			for _, name := range []string{"router_forwarded_v4_total", "conntrack_inserts_total", "firewall_passed_out_total"} {
+				if vals[name] <= 0 {
+					t.Errorf("%s = %d, want > 0", name, vals[name])
+				}
+			}
+			if _, par := snapshot(4); !bytes.Equal(serial, par) {
+				t.Errorf("snapshots differ between 1 and 4 workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", serial, par)
+			}
+		})
 	}
 }
 
